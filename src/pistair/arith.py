@@ -38,7 +38,10 @@ def as_rational(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"cannot interpret {value!r} as an exact rational") from None
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -129,15 +132,24 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
     value by less than one unit, counted per sign; the omitted tail is
     bounded by the first omitted term (alternating, strictly decreasing),
     which is below one unit at the stopping point.
+
+    The terms cost linear time each: ``power`` carries floor(scale / x^(2k+1))
+    from term to term by ``power //= x*x``, and the term is ``power // (2k+1)``.
+    For positive integers a, b, c, floor(floor(a/b)/c) = floor(a/(bc)): write
+    a = qb + r with 0 <= r < b and q = sc + u with 0 <= u < c; then
+    a = s(bc) + (ub + r) with 0 <= ub + r <= (c-1)b + b - 1 < bc.  Applied
+    once per division, this gives power = floor(scale / x^(2k+1)) and
+    t = floor(scale / ((2k+1) x^(2k+1))) exactly, the same floored term as a
+    direct division, so the sum and the unit counts above are unchanged.
     """
     x2 = x * x
-    denom_pow = x  # x^(2k+1)
+    power = scale // x  # floor(scale / x^(2k+1))
     k = 0
     acc = 0
     n_pos = 0
     n_neg = 0
     while True:
-        t = scale // ((2 * k + 1) * denom_pow)
+        t = power // (2 * k + 1)
         if t == 0:
             break
         if k % 2 == 0:
@@ -147,7 +159,7 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
             acc -= t
             n_neg += 1
         k += 1
-        denom_pow *= x2
+        power //= x2
     lo = acc - n_neg
     hi = acc + n_pos
     if k % 2 == 0:

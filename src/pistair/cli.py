@@ -3,9 +3,9 @@
 Every subcommand prints one record per line (JSON by default, CSV or an
 aligned table on request).  Data records never contain timestamps, so
 identical invocations produce identical bytes; `--meta` adds a separate
-metadata record.  Exit codes: 0 success, 1 verification/precision
-failure, 2 usage error.  Errors carry a single-line JSON reason on
-stderr.
+metadata record.  Exit codes: 0 success, 1 verification/precision or
+internal failure, 2 usage error.  Errors carry a single-line JSON reason
+on stderr.
 """
 
 from __future__ import annotations
@@ -351,17 +351,21 @@ def run_cli(args: list[str]) -> int:
         _emit(records, ns.format, _meta(ns))
         return 0
     except PrecisionExhaustedError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "reason": str(exc)}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 1
-    except (PistairError, ValueError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "reason": str(exc)}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 2
+        return _fail(exc, 1)
+    except PistairError as exc:
+        return _fail(exc, 2)
+    except ValueError as exc:
+        # an internal failure (such as the int->str digit limit), not a usage error
+        return _fail(exc, 1)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """Report exc as one JSON line on stderr and return the exit code."""
+    print(
+        json.dumps({"error": type(exc).__name__, "reason": str(exc)}, sort_keys=True),
+        file=sys.stderr,
+    )
+    return code
 
 
 def main() -> int:

@@ -6,6 +6,8 @@ adjust them by setting the variable before the next operation.
 
 import os
 
+from .errors import DomainError
+
 ENV_SIEVE_LIMIT = "PISTAIR_SIEVE_LIMIT"
 ENV_DIGIT_CAP = "PISTAIR_DIGIT_CAP"
 ENV_FACTORIAL_CAP = "PISTAIR_FACTORIAL_CAP"
@@ -24,7 +26,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        raise DomainError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def sieve_limit_cap() -> int:

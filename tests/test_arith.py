@@ -17,6 +17,7 @@ from pistair import (
     rational_str,
     zeta2_enclosure,
 )
+from pistair.arith import _arctan_recip_scaled
 
 
 def partial_sum(n):
@@ -97,6 +98,67 @@ class TestZeta2Enclosure:
             zeta2_enclosure(51)
 
 
+    def test_default_cap_contains_mpmath_value(self):
+        # independent oracle: mpmath interval arithmetic 30 digits past the cap
+        mpmath = pytest.importorskip("mpmath")
+        digits = 10_000
+        enc = zeta2_enclosure(digits)
+        saved = mpmath.iv.prec
+        try:
+            mpmath.iv.dps = digits + 30
+            lo, hi = (mpmath.iv.pi**2 / 6)._mpi_
+        finally:
+            mpmath.iv.prec = saved
+        assert enc.lo <= mpf_fraction(lo) and mpf_fraction(hi) <= enc.hi
+        assert enc.width <= Fraction(1, 10**digits)
+
+
+def mpf_fraction(value) -> Fraction:
+    """The exact value of an mpmath mpf tuple (sign, mantissa, exponent, bc)."""
+    sign, man, exp, _ = value
+    man = -man if sign else man
+    return Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
+
+
+def arctan_recip_per_term_division(x, scale):
+    """Reference: each floored term as scale // ((2k+1) x^(2k+1))."""
+    x2 = x * x
+    denom_pow = x
+    k = acc = n_pos = n_neg = 0
+    while True:
+        t = scale // ((2 * k + 1) * denom_pow)
+        if t == 0:
+            break
+        if k % 2 == 0:
+            acc += t
+            n_pos += 1
+        else:
+            acc -= t
+            n_neg += 1
+        k += 1
+        denom_pow *= x2
+    lo = acc - n_neg
+    hi = acc + n_pos
+    if k % 2 == 0:
+        hi += 1
+    else:
+        lo -= 1
+    return lo, hi
+
+
+class TestArctanSeries:
+    @given(x=st.integers(2, 300), scale=st.integers(1, 10**400))
+    @settings(max_examples=300, deadline=None)
+    def test_running_quotient_matches_per_term_division(self, x, scale):
+        assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
+
+    @pytest.mark.parametrize("x", [5, 239])
+    def test_machin_arguments_at_powers_of_ten(self, x):
+        for e in (1, 11, 40, 310, 2010):
+            scale = 10**e
+            assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
+
+
 class TestRationalExpUpper:
     def test_zero(self):
         assert rational_exp_upper(0) == 1
@@ -133,6 +195,12 @@ def test_as_rational_float_uses_decimal_repr():
     assert as_rational(5.45) == Fraction(109, 20)
     assert as_rational("3/7") == Fraction(3, 7)
     assert rational_str(Fraction(3)) == "3/1"
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", ""])
+def test_as_rational_rejects_malformed_string(text):
+    with pytest.raises(DomainError):
+        as_rational(text)
 
 
 def test_taylor_oracle_brackets_known_values():

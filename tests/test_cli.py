@@ -169,6 +169,37 @@ class TestErrors:
         assert json.loads(err.strip().splitlines()[0])["error"] == "ResourceLimitError"
 
 
+    def test_internal_failure_exit_1(self, capsys):
+        # past Python's int->str digit limit: a failure of the program, not of the call
+        code, out, err = run(capsys, "euler", "--N", "8000")
+        assert code == 1
+        assert out == ""
+        (line,) = err.strip().splitlines()
+        record = json.loads(line)
+        assert set(record) == {"error", "reason"}
+        assert record["error"] == "ValueError"
+
+    def test_malformed_env_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PISTAIR_DIGIT_CAP", "abc")
+        code, _, err = run(capsys, "zeta2", "--digits", "5")
+        assert code == 2
+        assert "PISTAIR_DIGIT_CAP" in json.loads(err.strip().splitlines()[0])["reason"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sondow", "--n", "10", "--mu", "abc"),
+            ("sondow", "--n", "10", "--mu", "1/0"),
+            ("staircase", "--mode", "power-2piN", "--b", "nan"),
+            ("staircase", "--mode", "power-2piN", "--b", "inf"),
+        ],
+    )
+    def test_malformed_value_exit_2(self, capsys, args):
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert json.loads(err.strip().splitlines()[0])["error"] == "DomainError"
+
+
 class TestOutputContracts:
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "staircase", "--mode", "power-2piN", "--steps", "2")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -29,6 +30,13 @@ from pistair import (
     tower_mul,
     tower_normalize,
     tower_to_float,
+)
+from pistair.primes import nth_prime
+from pistair.staircase import (
+    THEOREM3_CHUNK,
+    GapRecursionCheckpoint,
+    GapRecursionReport,
+    _first_sandwich_violation,
 )
 
 
@@ -227,6 +235,69 @@ class TestGapRecursion:
     def test_rejects_bad_range(self):
         with pytest.raises(RangeError):
             theorem3_sequence(1)
+
+    # the first block holds n = 2 .. THEOREM3_CHUNK + 1
+    EDGE = THEOREM3_CHUNK + 1
+
+    @pytest.mark.parametrize(
+        "n_max", [2, 3, THEOREM3_CHUNK - 1, THEOREM3_CHUNK, EDGE, EDGE + 1, 10**5]
+    )
+    def test_matches_stepwise_loop(self, n_max):
+        assert dataclasses.asdict(theorem3_sequence(n_max)) == dataclasses.asdict(
+            gap_recursion_stepwise(n_max)
+        )
+
+    def test_checkpoints_across_block_edges(self, table100k):
+        edge = self.EDGE  # the second block holds edge + 1 .. 2 * edge - 1
+        n_max = 2 * edge + 1
+        marks = [2, edge, edge + 1, 2 * edge - 1, 2 * edge, n_max]
+        for t in (None, table100k):
+            ours = theorem3_sequence(n_max, t, checkpoints=marks)
+            ref = gap_recursion_stepwise(n_max, t, checkpoints=marks)
+            assert dataclasses.asdict(ours) == dataclasses.asdict(ref)
+
+
+def test_first_sandwich_violation_is_the_first_failing_n():
+    lo = 10
+    n = np.arange(lo, lo + 20, dtype=np.float64)
+    n_log_n = n * np.log(n)  # the bounds exactly as the check computes them
+    values = list(1.5 * n_log_n)
+    values[3] = float(2 * n_log_n[3])  # upper bound itself is allowed
+    assert _first_sandwich_violation(lo, values) is None
+    values[12] = float(n_log_n[12] - n[12])  # lower bound is not
+    values[15] = 0.0
+    assert _first_sandwich_violation(lo, values) == lo + 12
+    values[5] = 3 * (lo + 5) * math.log(lo + 5)  # above the upper bound
+    assert _first_sandwich_violation(lo, values) == lo + 5
+
+
+def gap_recursion_stepwise(n_max, t=None, checkpoints=()):
+    """Reference: the sandwich, checkpoints and increments checked at every step."""
+    a = math.e
+    first_violation = None
+    min_increment = math.inf
+    marks = []
+    for n in range(2, n_max + 1):
+        log_n = math.log(n)
+        if not (n * log_n - n < a <= 2 * n * log_n) and first_violation is None:
+            first_violation = n
+        if n in checkpoints:
+            p_n = None if t is None else nth_prime(t, n)
+            rel = None if t is None else abs(a - p_n) / p_n
+            marks.append(GapRecursionCheckpoint(n, a, p_n, rel))
+        if n == n_max:
+            break
+        increment = math.log(a)
+        min_increment = min(min_increment, increment)
+        a += increment
+    return GapRecursionReport(
+        n_max=n_max,
+        a_final=a,
+        sandwich_ok=first_violation is None,
+        first_sandwich_violation=first_violation,
+        min_increment=min_increment if min_increment is not math.inf else 0.0,
+        checkpoints=marks,
+    )
 
 
 class TestStaircase:
