@@ -10,7 +10,7 @@ cross-checks them here.
 
 from fractions import Fraction
 
-from pistair import enclosure_compare, rational_str, zeta2_enclosure
+from pistair import enclosure_compare, rational_str, to_record, zeta2_enclosure
 
 print("=" * 72)
 print("  Enclosing zeta(2) with exact rational endpoints")
@@ -24,7 +24,7 @@ for digits in (1, 5, 15, 30):
 
 print("\nSerialized form of the 5-digit enclosure:")
 enc5 = zeta2_enclosure(5)
-print(f"  {enc5.as_record()}")
+print(f"  {to_record(enc5)}")
 
 print("\nIndependent check: the partial-sum sandwich at N = 1000.")
 s1000 = sum(Fraction(1, n * n) for n in range(1, 1001))

@@ -21,6 +21,7 @@ from .arith import (
     rational_str,
     zeta2_enclosure,
 )
+from .records import decimal_str, to_record
 from .approx import (
     RV_PAGE102,
     ConvergentRecord,

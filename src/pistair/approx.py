@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import config
-from .arith import RealEnclosure, as_rational, log_rational, rational_str, zeta2_enclosure
+from .arith import RealEnclosure, as_rational, log_rational, zeta2_enclosure
 from .errors import DomainError, PrecisionExhaustedError, RangeError
 from .primes import PrimeTable, nth_prime
+from .records import decimal_field
 
 
 def continued_fraction(x: RealEnclosure, max_terms: int) -> list[int]:
@@ -55,19 +56,10 @@ class ConvergentRecord:
     """One convergent p/q with its quotient and (optionally) its exponent."""
 
     index: int
-    partial_quotient: int
-    p: int
-    q: int
+    partial_quotient: int = decimal_field()
+    p: int = decimal_field()
+    q: int = decimal_field()
     exponent: float | None = None
-
-    def as_record(self) -> dict:
-        return {
-            "index": self.index,
-            "partial_quotient": str(self.partial_quotient),
-            "p": str(self.p),
-            "q": str(self.q),
-            "exponent": self.exponent,
-        }
 
 
 def convergents(quotients: list[int]) -> list[ConvergentRecord]:
@@ -134,7 +126,9 @@ def zeta2_exponent_report(
     convergent is separated, re-deriving quotients at each refinement;
     emitted prefixes are stable under refinement, so records only extend.
     """
-    d = max(1, digits)
+    if digits < 1:
+        raise DomainError(f"digits must be >= 1, got {digits}")
+    d = digits
     cap = config.digit_cap()
     while True:
         enc = zeta2_enclosure(d)
@@ -162,9 +156,6 @@ class RVConstants:
     rho: float | None = None
     sigma: float | None = None
 
-    def as_record(self) -> dict:
-        return {"a": self.a, "b": self.b, "rho": self.rho, "sigma": self.sigma}
-
 
 #: Published page-102 values used throughout the gates.
 RV_PAGE102 = RVConstants(a=-2.55306095, b=1.70036709)
@@ -178,13 +169,15 @@ def lemma4_derivation(c: RVConstants, mode: str = "raw") -> RVConstants:
     raw:     rho = b,     sigma = -a       (bound 1 - b/a)
     shifted: rho = b + 2, sigma = -(a + 2) (bound (a - b)/(a + 2))
     """
+    if not (math.isfinite(c.a) and math.isfinite(c.b)):
+        raise DomainError(f"a and b must be finite, got a = {c.a}, b = {c.b}")
     if mode == "raw":
         rho, sigma = c.b, -c.a
     elif mode == "shifted":
         rho, sigma = c.b + 2, -(c.a + 2)
     else:
         raise DomainError(f"mode must be one of {LEMMA4_MODES}, got {mode!r}")
-    if sigma <= 0:
+    if not sigma > 0:
         raise DomainError(f"mode {mode!r} needs sigma > 0, got sigma = {sigma}")
     return RVConstants(a=c.a, b=c.b, rho=rho, sigma=sigma)
 
@@ -201,18 +194,9 @@ class SondowCheck:
 
     n: int
     p_next: int
-    primorial: int
+    primorial: int = decimal_field()
     mu: Fraction
     holds: bool
-
-    def as_record(self) -> dict:
-        return {
-            "n": self.n,
-            "p_next": self.p_next,
-            "primorial": str(self.primorial),
-            "mu": rational_str(self.mu),
-            "holds": self.holds,
-        }
 
 
 def sondow_inequality_check(t: PrimeTable, n: int, mu_bound) -> SondowCheck:

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from . import config
 from .errors import DomainError, ResourceLimitError
+from .records import rational_str
 
 #: Extra decimal places carried through the fixed-point summation.  They
 #: absorb the per-term floor rounding and the final squaring, keeping the
@@ -43,11 +44,6 @@ def as_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"cannot interpret {value!r} as an exact rational") from None
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
-
-
-def rational_str(q: Fraction) -> str:
-    """Serialize a rational as 'numerator/denominator' in base 10."""
-    return f"{q.numerator}/{q.denominator}"
 
 
 def log_rational(q: Fraction) -> float:
@@ -109,9 +105,6 @@ class RealEnclosure:
         raise DomainError(
             "rational lies inside the enclosure; refine the enclosure first"
         )
-
-    def as_record(self) -> dict:
-        return {"lo": rational_str(self.lo), "hi": rational_str(self.hi)}
 
 
 def enclosure_compare(x: RealEnclosure, r) -> Placement:

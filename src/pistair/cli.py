@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import __version__
-from .arith import rational_str, zeta2_enclosure
+from .arith import zeta2_enclosure
 from .approx import (
     RVConstants,
     continued_fraction,
@@ -29,6 +29,7 @@ from .approx import (
 from .errors import PistairError, PrecisionExhaustedError
 from .euler import approximation_gap, euler_product, qn_bound_report
 from .primes import lcm_to, log_lcm_to, nth_prime_limit_estimate, sieve
+from .records import decimal_str, rational_str, to_record
 from .staircase import (
     euclid_baseline,
     staircase_certify,
@@ -115,56 +116,55 @@ def _table_for(args, minimum: int):
 
 def _cmd_euler(args):
     t = _table_for(args, args.N)
-    return [euler_product(t, args.N).as_record()]
+    approx = euler_product(t, args.N)
+    return [{**to_record(approx), "q_digits": approx.q_digits}]
 
 
 def _cmd_gap(args):
     t = _table_for(args, args.N)
-    return [approximation_gap(t, args.N, args.digits).as_record()]
+    return [to_record(approximation_gap(t, args.N, args.digits))]
 
 
 def _cmd_qbounds(args):
     t = _table_for(args, args.N)
-    return [qn_bound_report(t, args.N).as_record()]
+    return [to_record(qn_bound_report(t, args.N))]
 
 
 def _cmd_zeta2(args):
     enc = zeta2_enclosure(args.digits)
-    record = enc.as_record()
-    record["digits"] = args.digits
-    record["width"] = rational_str(enc.width)
-    return [record]
+    return [{**to_record(enc), "digits": args.digits, "width": rational_str(enc.width)}]
 
 
 def _cmd_cf(args):
     quotients = continued_fraction(zeta2_enclosure(args.digits), args.terms)
     return [
-        {"index": k, "partial_quotient": str(a)} for k, a in enumerate(quotients)
+        {"index": k, "partial_quotient": decimal_str(a)} for k, a in enumerate(quotients)
     ]
 
 
 def _cmd_exponents(args):
     records, best = zeta2_exponent_report(args.max_q, args.digits)
-    out = [r.as_record() for r in records]
+    out = [to_record(r) for r in records]
     out.append({"max_exponent": best, "convergents": len(records)})
     return out
 
 
 def _cmd_dn(args):
     t = _table_for(args, args.n)
-    record = log_lcm_to(t, args.n).as_record()
+    record = to_record(log_lcm_to(t, args.n))
     if not args.log_only:
-        record["d_n"] = str(lcm_to(t, args.n))
+        record["d_n"] = decimal_str(lcm_to(t, args.n))
     return [record]
 
 
 def _cmd_theorem1(args):
     t = _table_for(args, args.N)
-    return [theorem1_gate(t, args.N).as_record()]
+    gate = theorem1_gate(t, args.N)
+    return [{**to_record(gate), "reading": gate.reading()}]
 
 
 def _cmd_theorem2(args):
-    return [entry.as_record() for entry in theorem2_sequence(args.n)]
+    return [to_record(entry) for entry in theorem2_sequence(args.n)]
 
 
 def _cmd_theorem3(args):
@@ -172,42 +172,33 @@ def _cmd_theorem3(args):
     if args.sieve:
         limit = args.sieve_limit or nth_prime_limit_estimate(args.n)
         t = sieve(limit)
-    return [theorem3_sequence(args.n, t).as_record()]
+    return [to_record(theorem3_sequence(args.n, t))]
 
 
 def _cmd_staircase(args):
     t = _table_for(args, 100_000)
     cert = staircase_certify(t, args.b, args.m, args.mode, args.start, args.steps)
-    record = cert.as_record()
-    header = {k: v for k, v in record.items() if k not in ("steps", "lower_bounds")}
+    header = to_record(cert)
+    steps = header.pop("steps")
     header["record"] = "staircase"
-    out = [header]
-    for step in record["steps"]:
-        out.append({"record": "step", **step})
-    for bound in record["lower_bounds"]:
-        out.append({"record": "lower_bound", **bound})
-    return out
+    # each lower bound's threshold is the end of its step
+    bounds = [
+        {"record": "lower_bound", "at": step["end"], "pi_at_least": k}
+        for step, (_, k) in zip(steps, cert.lower_bounds())
+    ]
+    return [header] + [{"record": "step", **step} for step in steps] + bounds
 
 
 def _cmd_lemma4(args):
     constants = RVConstants(a=args.a, b=args.b)
     derived = lemma4_derivation(constants, args.mode)
-    return [
-        {
-            "a": derived.a,
-            "b": derived.b,
-            "mode": args.mode,
-            "rho": derived.rho,
-            "sigma": derived.sigma,
-            "bound": 1 + derived.rho / derived.sigma,
-        }
-    ]
+    bound = 1 + derived.rho / derived.sigma
+    return [{**to_record(derived), "mode": args.mode, "bound": bound}]
 
 
 def _cmd_sondow(args):
     t = _table_for(args, nth_prime_limit_estimate(args.n + 1))
-    record = sondow_inequality_check(t, args.n, args.mu).as_record()
-    return [record]
+    return [to_record(sondow_inequality_check(t, args.n, args.mu))]
 
 
 def _cmd_euclid(args):
@@ -223,7 +214,7 @@ def _cmd_euclid(args):
 
 def _cmd_verify(args):
     results = run_suite(args.suite)
-    records = [r.as_record() for r in results]
+    records = [to_record(r) for r in results]
     failures = sum(1 for r in results if not r.ok)
     records.append(
         {"suite": args.suite, "checks": len(results), "failures": failures}
@@ -355,7 +346,7 @@ def run_cli(args: list[str]) -> int:
     except PistairError as exc:
         return _fail(exc, 2)
     except ValueError as exc:
-        # an internal failure (such as the int->str digit limit), not a usage error
+        # an internal failure, not a usage error
         return _fail(exc, 1)
 
 

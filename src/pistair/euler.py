@@ -19,11 +19,11 @@ from .arith import (
     as_rational,
     log_rational,
     rational_exp_upper,
-    rational_str,
     zeta2_enclosure,
 )
 from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
 from .primes import PrimeTable, prime_count
+from .records import decimal_field
 
 #: prefix products kept one per prime up to this many primes (N ~ 17900);
 #: beyond that only a single forward cursor is held, so memory stays bounded
@@ -77,10 +77,16 @@ class EulerApproximation:
 
     @property
     def q_digits(self) -> int:
-        return len(str(self.value.denominator))
+        """Decimal digits of q_N, from its bit length and powers of ten.
 
-    def as_record(self) -> dict:
-        return {"N": self.N, "value": rational_str(self.value), "q_digits": self.q_digits}
+        0.30102999566 < log10(2) and q >= 2^(bits-1), so d starts at or
+        below floor(log10 q) and climbs to it.
+        """
+        q = self.value.denominator
+        d = (q.bit_length() - 1) * 30102999566 // 10**11
+        while q >= 10 ** (d + 1):
+            d += 1
+        return d + 1
 
 
 def euler_product(t: PrimeTable, N: int) -> EulerApproximation:
@@ -97,25 +103,13 @@ class QnBoundReport:
     """Exact integers and flags for the denominator bound chain at N."""
 
     N: int
-    q: int
-    prod_p2_minus_1: int
-    n_pow_2pi: int
-    factorial_sq: int
+    q: int = decimal_field()
+    prod_p2_minus_1: int = decimal_field()
+    n_pow_2pi: int = decimal_field()
+    factorial_sq: int = decimal_field()
     chain_ok: bool  # q <= prod(p^2-1) <= N^(2 pi(N))
     factorial_ok: bool  # q <= (N!)^2
     q_divides_prod: bool
-
-    def as_record(self) -> dict:
-        return {
-            "N": self.N,
-            "q": str(self.q),
-            "prod_p2_minus_1": str(self.prod_p2_minus_1),
-            "n_pow_2pi": str(self.n_pow_2pi),
-            "factorial_sq": str(self.factorial_sq),
-            "chain_ok": self.chain_ok,
-            "factorial_ok": self.factorial_ok,
-            "q_divides_prod": self.q_divides_prod,
-        }
 
 
 def qn_bound_report(t: PrimeTable, N: int) -> QnBoundReport:
@@ -172,20 +166,10 @@ class GapReport:
 
     N: int
     value: Fraction
-    q: int
+    q: int = decimal_field()
     gap: RealEnclosure
     exponent: float | None
     digits_used: int
-
-    def as_record(self) -> dict:
-        return {
-            "N": self.N,
-            "value": rational_str(self.value),
-            "q": str(self.q),
-            "gap": self.gap.as_record(),
-            "exponent": self.exponent,
-            "digits_used": self.digits_used,
-        }
 
 
 def approximation_gap(t: PrimeTable, N: int, digits: int) -> GapReport:
@@ -194,10 +178,11 @@ def approximation_gap(t: PrimeTable, N: int, digits: int) -> GapReport:
     The digit count doubles internally (up to the configured cap) until the
     enclosure separates p_N/q_N from zeta(2) with relative width below 1.
     """
-    approx = euler_product(t, N)
-    value = approx.value
+    if digits < 1:
+        raise DomainError(f"digits must be >= 1, got {digits}")
+    value = euler_product(t, N).value
     q = value.denominator
-    d = max(1, digits)
+    d = digits
     cap = config.digit_cap()
     while True:
         z = zeta2_enclosure(d)

@@ -158,14 +158,6 @@ class LcmLogReport:
     pi_log_n: float  # pi(n) * log n
     log_sq_n: float  # (log n)^2
 
-    def as_record(self) -> dict:
-        return {
-            "n": self.n,
-            "log_lcm": self.log_lcm,
-            "pi_log_n": self.pi_log_n,
-            "log_sq_n": self.log_sq_n,
-        }
-
 
 def log_lcm_to(t: PrimeTable, n: int) -> LcmLogReport:
     """log d_n = sum over primes p <= n of floor(log_p n) * log p.

@@ -26,6 +26,7 @@ from . import config
 from .errors import DomainError, RangeError, ResourceLimitError
 from .euler import euler_product
 from .primes import PrimeTable, nth_prime, prime_count
+from .records import decimal_field
 
 #: floats at or above this are promoted to level >= 1 representations
 OVERFLOW = 1e300
@@ -52,9 +53,6 @@ class LogTower:
 
     level: int
     mantissa: float
-
-    def as_record(self) -> dict:
-        return {"level": self.level, "mantissa": self.mantissa}
 
 
 def tower_normalize(level: int, mantissa: float) -> LogTower:
@@ -215,9 +213,9 @@ class FactorialGate:
     """
 
     N: int
-    q: int
-    f: int  # (N!)^14
-    lhs: int  # 10 * q^6
+    q: int = decimal_field()
+    f: int = decimal_field()  # (N!)^14
+    lhs: int = decimal_field()  # 10 * q^6
     holds: bool
     slack_log10: float  # log10(f) - log10(lhs), the unused room in the gate
 
@@ -227,17 +225,6 @@ class FactorialGate:
             f"10*q^6 {relation} (N!)^14 at N={self.N}; if it holds and no prime "
             f"lies in (N, (N!)^14], the product is within 1/q^6 of pi^2/6"
         )
-
-    def as_record(self) -> dict:
-        return {
-            "N": self.N,
-            "q": str(self.q),
-            "f": str(self.f),
-            "lhs": str(self.lhs),
-            "holds": self.holds,
-            "slack_log10": self.slack_log10,
-            "reading": self.reading(),
-        }
 
 
 def theorem1_first_passing(t: PrimeTable, n_max: int = 100) -> int | None:
@@ -282,14 +269,6 @@ class DoubleExpEntry:
     loglog_closed: float  # closed form e^n
     tower: LogTower
 
-    def as_record(self) -> dict:
-        return {
-            "n": self.n,
-            "loglog": self.loglog,
-            "loglog_closed": self.loglog_closed,
-            "tower": self.tower.as_record(),
-        }
-
 
 #: the loglog seed exceeds float range above this index
 DOUBLE_EXP_MAX_N = 700
@@ -331,9 +310,6 @@ class GapRecursionCheckpoint:
     p_n: int | None
     rel_diff: float | None
 
-    def as_record(self) -> dict:
-        return {"n": self.n, "a_n": self.a_n, "p_n": self.p_n, "rel_diff": self.rel_diff}
-
 
 @dataclass(frozen=True)
 class GapRecursionReport:
@@ -345,16 +321,6 @@ class GapRecursionReport:
     first_sandwich_violation: int | None
     min_increment: float
     checkpoints: list[GapRecursionCheckpoint]
-
-    def as_record(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "a_final": self.a_final,
-            "sandwich_ok": self.sandwich_ok,
-            "first_sandwich_violation": self.first_sandwich_violation,
-            "min_increment": self.min_increment,
-            "checkpoints": [c.as_record() for c in self.checkpoints],
-        }
 
 
 #: values of a_n the recursion produces before their sandwich check runs;
@@ -457,34 +423,16 @@ class StaircaseStep:
     """
 
     index: int
-    start: "int | LogTower"
-    end: "int | LogTower"
+    start: "int | LogTower" = decimal_field()
+    end: "int | LogTower" = decimal_field()
     witness_mode: str  # "exact" | "logarithmic"
-    q: int | None  # q_start where materializable
-    q_bound: int | None  # Q(start), exact mode only
+    q: int | None = decimal_field()  # q_start where materializable
+    q_bound: int | None = decimal_field()  # Q(start), exact mode only
     witness_ok: bool | None  # 10 * q^m < end, exact re-check
     ln_q_bound: float | None
     ln_end: float | None
     sieve_confirmed: bool | None  # None when end is beyond the table
     prime_witness: int | None
-
-    def as_record(self) -> dict:
-        def endpoint(v):
-            return str(v) if isinstance(v, int) else v.as_record()
-
-        return {
-            "index": self.index,
-            "start": endpoint(self.start),
-            "end": endpoint(self.end),
-            "witness_mode": self.witness_mode,
-            "q": None if self.q is None else str(self.q),
-            "q_bound": None if self.q_bound is None else str(self.q_bound),
-            "witness_ok": self.witness_ok,
-            "ln_q_bound": self.ln_q_bound,
-            "ln_end": self.ln_end,
-            "sieve_confirmed": self.sieve_confirmed,
-            "prime_witness": self.prime_witness,
-        }
 
 
 @dataclass(frozen=True)
@@ -505,23 +453,6 @@ class StaircaseCertificate:
         return [
             (step.end, self.pi_at_start + step.index + 1) for step in self.steps
         ]
-
-    def as_record(self) -> dict:
-        def endpoint(v):
-            return str(v) if isinstance(v, int) else v.as_record()
-
-        return {
-            "measure_bound": self.measure_bound,
-            "exponent": self.exponent,
-            "q_mode": self.q_mode,
-            "start": self.start,
-            "pi_at_start": self.pi_at_start,
-            "steps": [s.as_record() for s in self.steps],
-            "lower_bounds": [
-                {"at": endpoint(at), "pi_at_least": k} for at, k in self.lower_bounds()
-            ],
-            "truncated_reason": self.truncated_reason,
-        }
 
 
 def default_exponent(b: float) -> int:
@@ -663,6 +594,9 @@ def staircase_certify(
         raise DomainError(f"q_mode must be one of {Q_MODES}, got {q_mode!r}")
     if not math.isfinite(b):
         raise DomainError(f"measure bound b must be finite, got {b}")
+    if b < 2:
+        # Dirichlet: every irrational has irrationality measure >= 2
+        raise DomainError(f"measure bound b must be >= 2, got {b}")
     if m is None:
         m = default_exponent(b)
     if not m > b:

@@ -55,9 +55,6 @@ class CheckResult:
     ok: bool
     detail: str = ""
 
-    def as_record(self) -> dict:
-        return {"suite": self.suite, "name": self.name, "ok": self.ok, "detail": self.detail}
-
 
 def _check(results: list, suite: str, name: str, ok: bool, detail: str = ""):
     results.append(CheckResult(suite, name, bool(ok), detail))

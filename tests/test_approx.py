@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,11 @@ class TestMeasureExponents:
             assert (a.p, a.q) == (b.p, b.q)
             assert a.exponent == pytest.approx(b.exponent, abs=1e-6)
 
+    @pytest.mark.parametrize("digits", [0, -3])
+    def test_nonpositive_digits_refused(self, digits):
+        with pytest.raises(DomainError, match="digits must be >= 1"):
+            zeta2_exponent_report(100, digits=digits)
+
     def test_unseparated_raises(self):
         enc = zeta2_enclosure(10)
         mid = enc.midpoint
@@ -187,6 +193,14 @@ class TestLemma4:
             lemma4_bound(RVConstants(a=-2.0, b=1.0), "shifted")
         with pytest.raises(DomainError):
             lemma4_bound(RV_PAGE102, "sideways")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", ["raw", "shifted"])
+    def test_non_finite_constants_refused(self, bad, mode):
+        with pytest.raises(DomainError):
+            lemma4_derivation(RVConstants(a=bad, b=1.0), mode)
+        with pytest.raises(DomainError):
+            lemma4_derivation(RVConstants(a=-3.0, b=bad), mode)
 
 
 class TestSondow:

@@ -1,7 +1,21 @@
 import json
+import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from pistair import (
+    euler_product,
+    lcm_to,
+    nth_prime_limit_estimate,
+    qn_bound_report,
+    sieve,
+    staircase_certify,
+    theorem1_gate,
+    zeta2_enclosure,
+)
+from pistair import cli
 from pistair.cli import run_cli
 
 
@@ -13,6 +27,147 @@ def run(capsys, *args):
 
 def json_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def shape(value):
+    """The JSON type of value, recursively through objects and arrays."""
+    if isinstance(value, dict):
+        return {k: shape(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [shape(v) for v in value]
+    return {str: S, int: I, float: F, bool: B, type(None): NULL}[type(value)]
+
+
+S, I, F, B, NULL = "string", "integer", "float", "bool", "null"
+TOWER = {"level": I, "mantissa": F}
+STAIRCASE_HEADER = {
+    "exponent": I,
+    "measure_bound": F,
+    "pi_at_start": I,
+    "q_mode": S,
+    "record": S,
+    "start": I,
+    "truncated_reason": NULL,
+}
+EXACT_STEP = {
+    "end": S,
+    "index": I,
+    "ln_end": F,
+    "ln_q_bound": F,
+    "prime_witness": I,
+    "q": S,
+    "q_bound": S,
+    "record": S,
+    "sieve_confirmed": B,
+    "start": S,
+    "witness_mode": S,
+    "witness_ok": B,
+}
+LOG_STEP = {
+    **EXACT_STEP,
+    "end": TOWER,
+    "prime_witness": NULL,
+    "q": NULL,
+    "q_bound": NULL,
+    "sieve_confirmed": NULL,
+    "witness_ok": NULL,
+}
+CONVERGENT = {"exponent": F, "index": I, "p": S, "partial_quotient": S, "q": S}
+
+#: each invocation's distinct record shapes, in order of first appearance:
+#: big integers and rationals are strings, counts, flags and floats keep
+#: their JSON type
+RECORD_SHAPES = {
+    "euler --N 30": [{"N": I, "q_digits": I, "value": S}],
+    "gap --N 5 --digits 15": [
+        {
+            "N": I,
+            "digits_used": I,
+            "exponent": F,
+            "gap": {"hi": S, "lo": S},
+            "q": S,
+            "value": S,
+        }
+    ],
+    "qbounds --N 7": [
+        {
+            "N": I,
+            "chain_ok": B,
+            "factorial_ok": B,
+            "factorial_sq": S,
+            "n_pow_2pi": S,
+            "prod_p2_minus_1": S,
+            "q": S,
+            "q_divides_prod": B,
+        }
+    ],
+    "zeta2 --digits 4": [{"digits": I, "hi": S, "lo": S, "width": S}],
+    "cf --digits 30 --terms 6": [{"index": I, "partial_quotient": S}],
+    "exponents --digits 40 --max-q 100": [
+        {**CONVERGENT, "exponent": NULL},
+        CONVERGENT,
+        {"convergents": I, "max_exponent": F},
+    ],
+    "dn --n 12": [{"d_n": S, "log_lcm": F, "log_sq_n": F, "n": I, "pi_log_n": F}],
+    "theorem1 --N 6": [
+        {
+            "N": I,
+            "f": S,
+            "holds": B,
+            "lhs": S,
+            "q": S,
+            "reading": S,
+            "slack_log10": F,
+        }
+    ],
+    "theorem2 --n 2": [{"loglog": F, "loglog_closed": F, "n": I, "tower": TOWER}],
+    "theorem3 --n 100": [
+        {
+            "a_final": F,
+            "checkpoints": [],
+            "first_sandwich_violation": NULL,
+            "min_increment": F,
+            "n_max": I,
+            "sandwich_ok": B,
+        }
+    ],
+    "theorem3 --n 2000 --sieve --sieve-limit 20000": [
+        {
+            "a_final": F,
+            "checkpoints": [{"a_n": F, "n": I, "p_n": I, "rel_diff": F}],
+            "first_sandwich_violation": NULL,
+            "min_increment": F,
+            "n_max": I,
+            "sandwich_ok": B,
+        }
+    ],
+    "staircase --mode factorial-squared --steps 2": [
+        STAIRCASE_HEADER,
+        EXACT_STEP,
+        LOG_STEP,
+        {"at": S, "pi_at_least": I, "record": S},
+        {"at": TOWER, "pi_at_least": I, "record": S},
+    ],
+    "staircase --mode factorial-squared --steps 4": [
+        STAIRCASE_HEADER,
+        EXACT_STEP,
+        LOG_STEP,
+        {**LOG_STEP, "start": TOWER, "ln_end": NULL, "ln_q_bound": NULL},
+        {"at": S, "pi_at_least": I, "record": S},
+        {"at": TOWER, "pi_at_least": I, "record": S},
+    ],
+    "lemma4 --mode shifted": [
+        {"a": F, "b": F, "bound": F, "mode": S, "rho": F, "sigma": F}
+    ],
+    "sondow --n 3 --mu 5.45": [
+        {"holds": B, "mu": S, "n": I, "p_next": I, "primorial": S}
+    ],
+    "euclid --level 1 --mantissa 2.5": [{"k": I, "level": I, "mantissa": F}],
+    "verify --suite arith": [
+        {"detail": S, "name": S, "ok": B, "suite": S},
+        {"checks": I, "failures": I, "suite": S},
+    ],
+}
 
 
 class TestDispatch:
@@ -169,9 +324,13 @@ class TestErrors:
         assert json.loads(err.strip().splitlines()[0])["error"] == "ResourceLimitError"
 
 
-    def test_internal_failure_exit_1(self, capsys):
-        # past Python's int->str digit limit: a failure of the program, not of the call
-        code, out, err = run(capsys, "euler", "--N", "8000")
+    def test_internal_failure_exit_1(self, capsys, monkeypatch):
+        # a ValueError that is not a PistairError is a failure of the program
+        def broken(args):
+            raise ValueError("internal failure")
+
+        monkeypatch.setitem(cli._HANDLERS, "euler", broken)
+        code, out, err = run(capsys, "euler", "--N", "10")
         assert code == 1
         assert out == ""
         (line,) = err.strip().splitlines()
@@ -192,6 +351,18 @@ class TestErrors:
             ("sondow", "--n", "10", "--mu", "1/0"),
             ("staircase", "--mode", "power-2piN", "--b", "nan"),
             ("staircase", "--mode", "power-2piN", "--b", "inf"),
+            ("staircase", "--mode", "power-2piN", "--b", "-1", "--steps", "1"),
+            ("staircase", "--mode", "power-2piN", "--b", "1.99", "--steps", "1"),
+            ("lemma4", "--a", "nan", "--b", "1"),
+            ("lemma4", "--a", "inf", "--b", "1"),
+            ("lemma4", "--a=-inf", "--b", "1"),
+            ("lemma4", "--b", "nan"),
+            ("lemma4", "--b", "inf"),
+            ("lemma4", "--b=-inf", "--mode", "shifted"),
+            ("gap", "--N", "5", "--digits", "-3"),
+            ("gap", "--N", "5", "--digits", "0"),
+            ("exponents", "--digits", "0", "--max-q", "100"),
+            ("exponents", "--digits", "-3", "--max-q", "100"),
         ],
     )
     def test_malformed_value_exit_2(self, capsys, args):
@@ -214,28 +385,17 @@ class TestOutputContracts:
         assert records[1]["value"] == "1225/768"
 
     def test_json_round_trips_every_subcommand(self, capsys):
-        for args in (
-            ["euler", "--N", "30"],
-            ["gap", "--N", "5", "--digits", "15"],
-            ["qbounds", "--N", "7"],
-            ["zeta2", "--digits", "4"],
-            ["cf", "--digits", "30", "--terms", "6"],
-            ["exponents", "--digits", "40", "--max-q", "100"],
-            ["dn", "--n", "12"],
-            ["theorem1", "--N", "6"],
-            ["theorem2", "--n", "2"],
-            ["theorem3", "--n", "100"],
-            ["staircase", "--mode", "factorial-squared", "--steps", "2"],
-            ["lemma4", "--mode", "shifted"],
-            ["sondow", "--n", "3", "--mu", "5.45"],
-            ["euclid", "--level", "1", "--mantissa", "2.5"],
-            ["verify", "--suite", "arith"],
-        ):
+        for argv, shapes in RECORD_SHAPES.items():
+            args = argv.split()
             code, out, _ = run(capsys, *args)
             assert code == 0, args
             assert out.strip(), args
+            seen = []
             for record in json_lines(out):
                 assert json.loads(json.dumps(record)) == record
+                if shape(record) not in seen:
+                    seen.append(shape(record))
+            assert seen == shapes, args
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "euler", "--N", "10", "--format", "csv")
@@ -262,3 +422,114 @@ class TestVerifySubcommand:
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 0
         assert json_lines(out)[-1]["failures"] == 0
+
+
+def parse_int(s):
+    """Nonnegative decimal string to int, in pieces below the int<-str limit."""
+    if len(s) <= 600:
+        return int(s)
+    k = len(s) // 2
+    return parse_int(s[:-k]) * 10**k + parse_int(s[-k:])
+
+
+def parse_frac(s):
+    p, q = s.split("/")
+    return Fraction(parse_int(p), parse_int(q))
+
+
+class TestPastTheIntStrDigitLimit:
+    """Records holding integers of more than 4300 digits, the default limit
+    of Python's int->str conversion, print and parse back exactly."""
+
+    def test_euler(self, capsys):
+        code, out, _ = run(capsys, "euler", "--N", "8000")
+        assert code == 0
+        (record,) = json_lines(out)
+        value = euler_product(sieve(8000), 8000).value
+        assert parse_frac(record["value"]) == value
+        assert record["q_digits"] == len(str(Decimal(value.denominator))) > 4300
+
+    def test_zeta2(self, capsys):
+        code, out, _ = run(capsys, "zeta2", "--digits", "3000")
+        assert code == 0
+        (record,) = json_lines(out)
+        enc = zeta2_enclosure(3000)
+        assert parse_frac(record["lo"]) == enc.lo
+        assert parse_frac(record["hi"]) == enc.hi
+        assert parse_frac(record["width"]) == enc.width
+        assert len(record["lo"]) > 4300
+
+    def test_qbounds(self, capsys):
+        code, out, _ = run(capsys, "qbounds", "--N", "1000")
+        assert code == 0
+        (record,) = json_lines(out)
+        report = qn_bound_report(sieve(1000), 1000)
+        for key in ("q", "prod_p2_minus_1", "n_pow_2pi", "factorial_sq"):
+            assert parse_int(record[key]) == getattr(report, key), key
+        assert len(record["factorial_sq"]) > 4300
+
+    def test_theorem1(self, capsys):
+        code, out, _ = run(capsys, "theorem1", "--N", "300")
+        assert code == 0
+        (record,) = json_lines(out)
+        gate = theorem1_gate(sieve(300), 300)
+        for key in ("q", "f", "lhs"):
+            assert parse_int(record[key]) == getattr(gate, key), key
+        assert record["reading"] == gate.reading()
+        assert len(record["f"]) > 4300
+
+    def test_dn(self, capsys):
+        code, out, _ = run(capsys, "dn", "--n", "20000")
+        assert code == 0
+        (record,) = json_lines(out)
+        assert parse_int(record["d_n"]) == lcm_to(sieve(20000), 20000)
+        assert len(record["d_n"]) > 4300
+
+    def test_sondow(self, capsys):
+        code, out, _ = run(capsys, "sondow", "--n", "1300")
+        assert code == 0
+        (record,) = json_lines(out)
+        t = sieve(nth_prime_limit_estimate(1301))
+        primorial = math.prod(t.primes[:1300].tolist())
+        assert parse_int(record["primorial"]) == primorial
+        assert len(record["primorial"]) > 4300
+
+    def test_staircase(self, capsys):
+        code, out, _ = run(
+            capsys, "staircase", "--mode", "factorial-squared", "--start", "300",
+            "--steps", "1",
+        )
+        assert code == 0
+        header, step, bound = json_lines(out)
+        cert = staircase_certify(sieve(100_000), 5.45, None, "factorial-squared", 300, 1)
+        (expected,) = cert.steps
+        assert step["start"] == "300"
+        for key in ("end", "q", "q_bound"):
+            assert parse_int(step[key]) == getattr(expected, key), key
+        assert bound["at"] == step["end"]
+        assert bound["pi_at_least"] == cert.pi_at_start + 1
+        assert len(step["end"]) > 4300
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("gap", "--N", "5", "--digits", "-3"),
+            ("exponents", "--digits", "0", "--max-q", "100"),
+        ],
+    )
+    def test_nonpositive_digits_refused_like_zeta2(self, capsys, args):
+        code, _, err = run(capsys, *args)
+        digits = args[args.index("--digits") + 1]
+        _, _, zeta2_err = run(capsys, "zeta2", "--digits", digits)
+        assert code == 2
+        assert json.loads(err) == json.loads(zeta2_err)
+
+    def test_measure_bound_two_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "staircase", "--mode", "power-2piN", "--b", "2", "--steps", "1"
+        )
+        assert code == 0
+        header = json_lines(out)[0]
+        assert (header["measure_bound"], header["exponent"]) == (2.0, 3)

@@ -1,9 +1,11 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from pistair import (
     DomainError,
+    EulerApproximation,
     RangeError,
     ResourceLimitError,
     approximation_gap,
@@ -38,6 +40,17 @@ class TestEulerProduct:
 
     def test_q_digits(self, table3k):
         assert euler_product(table3k, 10).q_digits == 3
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 15, 16, 17, 300, 4299, 4300, 4301, 20_000])
+    def test_q_digits_at_powers_of_ten(self, k):
+        for q in (10**k - 1, 10**k, 10**k + 1):
+            if q >= 1:
+                digits = len(str(Decimal(q)))
+                assert EulerApproximation(1, Fraction(1, q)).q_digits == digits
+
+    def test_q_digits_past_the_int_str_limit(self):
+        approx = euler_product(sieve(10_000), 10_000)
+        assert approx.q_digits == len(str(Decimal(approx.value.denominator)))
 
     def test_brute_force_agreement(self, table3k):
         primes = table3k.primes.tolist()
@@ -202,6 +215,11 @@ class TestApproximationGap:
         report = approximation_gap(table3k, 1, 10)
         assert report.q == 1
         assert report.exponent is None
+
+    @pytest.mark.parametrize("digits", [0, -3])
+    def test_nonpositive_digits_refused(self, table3k, digits):
+        with pytest.raises(DomainError, match="digits must be >= 1"):
+            approximation_gap(table3k, 5, digits)
 
     def test_small_digit_request_still_separates(self, table3k):
         report = approximation_gap(table3k, 300, 1)

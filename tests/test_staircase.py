@@ -404,6 +404,17 @@ class TestStaircase:
         with pytest.raises(DomainError):
             staircase_certify(table100k, 5.45, 6, "assumed-g", 2, 1)
 
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 1.0, 1.99])
+    def test_measure_bound_below_two_refused(self, table100k, b):
+        # no irrational has irrationality measure below 2
+        with pytest.raises(DomainError):
+            staircase_certify(table100k, b, None, "power-2piN", 2, 1)
+
+    def test_measure_bound_two_accepted(self, table100k):
+        cert = staircase_certify(table100k, 2.0, None, "power-2piN", 2, 1)
+        assert cert.exponent == 3
+        assert cert.steps
+
 
 class TestEuclidBaseline:
     def test_examples(self):
