@@ -2,10 +2,11 @@
 
 Partial quotients are emitted only while the Gauss map agrees on both
 enclosure endpoints, so every quotient is provably correct for every real
-the enclosure brackets.  Exponent measurements, the growth-rate bound
-mu <= 1 + rho/sigma with the published page-102 constants, and the
-primorial inequality check are all exact-rational or exact-integer at the
-decision points.
+the enclosure brackets.  Exponent measurements and the growth-rate bound
+mu <= 1 + rho/sigma with the published page-102 constants are
+exact-rational at the decision points.  The primorial inequality check
+compares logarithms of logarithms, with a margin far above float rounding,
+and falls back to exact integer powers only near a tie.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from . import config
 from .arith import RealEnclosure, as_rational, log_rational, zeta2_enclosure
-from .errors import DomainError, PrecisionExhaustedError, RangeError
+from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
 from .primes import PrimeTable, nth_prime
 from .records import decimal_field
 
@@ -179,6 +180,8 @@ def lemma4_derivation(c: RVConstants, mode: str = "raw") -> RVConstants:
         raise DomainError(f"mode must be one of {LEMMA4_MODES}, got {mode!r}")
     if not sigma > 0:
         raise DomainError(f"mode {mode!r} needs sigma > 0, got sigma = {sigma}")
+    if not math.isfinite(rho / sigma):
+        raise DomainError(f"rho/sigma overflows: rho = {rho}, sigma = {sigma}")
     return RVConstants(a=c.a, b=c.b, rho=rho, sigma=sigma)
 
 
@@ -186,6 +189,11 @@ def lemma4_bound(c: RVConstants, mode: str = "raw") -> float:
     """The measure bound 1 + rho/sigma for the requested mode."""
     derived = lemma4_derivation(c, mode)
     return 1 + derived.rho / derived.sigma
+
+
+#: relative gap between the log-log sides of the Sondow inequality above
+#: which float rounding (a few ulps) cannot flip their order
+SONDOW_LOG_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -200,10 +208,15 @@ class SondowCheck:
 
 
 def sondow_inequality_check(t: PrimeTable, n: int, mu_bound) -> SondowCheck:
-    """Test p_{n+1} <= (p_1 ... p_n)^(2 mu) by pure integer cross-powers.
+    """Test p_{n+1} <= (p_1 ... p_n)^(2 mu) without needless cross-powers.
 
-    With mu = num/den the inequality is equivalent to
-    p_{n+1}^den <= primorial^(2 num), which is decided exactly.
+    With mu = num/den the inequality is p_{n+1}^den <= primorial^(2 num),
+    that is ln den + ln ln p_{n+1} <= ln(2 num) + ln ln primorial.  Each side
+    is a float within a few ulps of its value, so when the sides differ by
+    more than SONDOW_LOG_MARGIN relative the order of the floats decides.
+    Near a tie the two powers are compared exactly if their digit count fits
+    config.bigint_digit_budget(); otherwise ResourceLimitError is raised
+    before either power is built.
     """
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
@@ -212,5 +225,18 @@ def sondow_inequality_check(t: PrimeTable, n: int, mu_bound) -> SondowCheck:
         raise DomainError(f"mu bound must be positive, got {mu}")
     p_next = nth_prime(t, n + 1)
     primorial = math.prod(int(t.primes[i]) for i in range(n))
-    holds = p_next**mu.denominator <= primorial ** (2 * mu.numerator)
+    lhs = math.log(mu.denominator) + math.log(math.log(p_next))
+    rhs = math.log(2 * mu.numerator) + math.log(math.log(primorial))
+    if abs(lhs - rhs) > SONDOW_LOG_MARGIN * max(1.0, abs(lhs), abs(rhs)):
+        holds = lhs < rhs
+    else:
+        # the larger power has about exp(max(lhs, rhs)) / ln 10 digits
+        budget = config.bigint_digit_budget()
+        if max(lhs, rhs) > math.log(budget * math.log(10)):
+            raise ResourceLimitError(
+                f"mu is a near tie at n = {n}; deciding it exactly needs "
+                f"powers beyond {budget} digits "
+                f"(raise {config.ENV_BIGINT_DIGITS} to override)"
+            )
+        holds = p_next**mu.denominator <= primorial ** (2 * mu.numerator)
     return SondowCheck(n=n, p_next=p_next, primorial=primorial, mu=mu, holds=holds)

@@ -45,5 +45,6 @@ def factorial_cap() -> int:
 
 
 def bigint_digit_budget() -> int:
-    """Decimal-digit budget above which staircase witnesses go logarithmic."""
+    """Decimal-digit budget above which staircase witnesses go logarithmic
+    and near-tie Sondow checks are refused."""
     return _env_int(ENV_BIGINT_DIGITS, DEFAULT_BIGINT_DIGITS)

@@ -1,17 +1,18 @@
 """Exact partial Euler products for zeta(2) and their approximation quality.
 
-The truncated product over primes p <= N of (1 - p^-2)^-1 is kept as an
-exact reduced rational p_N/q_N.  A per-table cache extends the product one
-prime at a time (one reduction per step), so sweeps over N and runs up to
-N = 10^4 stay cheap even though q_N has thousands of digits.
+The truncated product over primes p <= N of (1 - p^-2)^-1 is an exact
+reduced rational p_N/q_N, formed afresh as prod p^2 / prod (p^2 - 1) with one
+gcd reduction.  Only the last product (and the table it came from) is kept,
+keyed on the table and the prime count rather than on N, so the reports that
+share one N, and every N between two primes, form it once.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import config
 from .arith import (
@@ -25,47 +26,11 @@ from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLi
 from .primes import PrimeTable, prime_count
 from .records import decimal_field
 
-#: prefix products kept one per prime up to this many primes (N ~ 17900);
-#: beyond that only a single forward cursor is held, so memory stays bounded
-#: while sweeps over small N and one-shot large N both stay cheap
-_DENSE_PRIME_COUNT = 2048
 
-
-class _ProductCache:
-    __slots__ = ("dense", "cursor_k", "cursor_value")
-
-    def __init__(self):
-        self.dense = [Fraction(1)]
-        self.cursor_k = 0
-        self.cursor_value = Fraction(1)
-
-
-_product_cache: "weakref.WeakKeyDictionary[PrimeTable, _ProductCache]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _cached_products(t: PrimeTable, n_primes: int) -> Fraction:
-    cache = _product_cache.get(t)
-    if cache is None:
-        cache = _ProductCache()
-        _product_cache[t] = cache
-    dense_target = min(n_primes, _DENSE_PRIME_COUNT)
-    while len(cache.dense) <= dense_target:
-        p = int(t.primes[len(cache.dense) - 1])
-        cache.dense.append(cache.dense[-1] * Fraction(p * p, p * p - 1))
-    if n_primes < len(cache.dense):
-        return cache.dense[n_primes]
-    if cache.cursor_k > n_primes or cache.cursor_k < len(cache.dense) - 1:
-        cache.cursor_k = len(cache.dense) - 1
-        cache.cursor_value = cache.dense[-1]
-    value, k = cache.cursor_value, cache.cursor_k
-    while k < n_primes:
-        p = int(t.primes[k])
-        value *= Fraction(p * p, p * p - 1)
-        k += 1
-    cache.cursor_k, cache.cursor_value = k, value
-    return value
+@lru_cache(maxsize=1)
+def _product(t: PrimeTable, n_primes: int) -> Fraction:
+    ps = t.primes[:n_primes].tolist()
+    return Fraction(math.prod(p * p for p in ps), math.prod(p * p - 1 for p in ps))
 
 
 @dataclass(frozen=True)
@@ -95,7 +60,7 @@ def euler_product(t: PrimeTable, N: int) -> EulerApproximation:
         raise RangeError(f"N must be >= 1, got {N}")
     if N > t.limit:
         raise RangeError(f"Euler product to {N} needs a sieve beyond {t.limit}")
-    return EulerApproximation(N, _cached_products(t, prime_count(t, N)))
+    return EulerApproximation(N, _product(t, prime_count(t, N)))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ class PrimeTable:
     Safe for concurrent reads; construct through :func:`sieve`.
     """
 
-    __slots__ = ("limit", "primes", "__weakref__")
+    __slots__ = ("limit", "primes")
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = limit

@@ -65,9 +65,11 @@ def tower_normalize(level: int, mantissa: float) -> LogTower:
         raise DomainError(f"tower level must be >= 0, got {level}")
     r = float(mantissa)
     k = int(level)
+    if not math.isfinite(r):
+        raise DomainError(f"tower mantissa must be finite, got {r}")
     if k == 0:
         return LogTower(0, r)
-    if r <= 0 or math.isnan(r):
+    if r <= 0:
         raise DomainError(f"mantissa must be positive at level >= 1, got {r}")
     while True:
         if r >= math.e:

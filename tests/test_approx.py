@@ -11,6 +11,7 @@ from pistair import (
     PrecisionExhaustedError,
     RangeError,
     RealEnclosure,
+    ResourceLimitError,
     RVConstants,
     continued_fraction,
     convergents,
@@ -202,6 +203,21 @@ class TestLemma4:
         with pytest.raises(DomainError):
             lemma4_derivation(RVConstants(a=-3.0, b=bad), mode)
 
+    @pytest.mark.parametrize("mode", ["raw", "shifted"])
+    def test_overflowing_bound_refused(self, mode):
+        # sigma = 1e-320 is positive and finite, but 1/sigma overflows
+        a = -1e-320 if mode == "raw" else -2 - 1e-15
+        with pytest.raises(DomainError):
+            lemma4_derivation(RVConstants(a=a, b=1e300), mode)
+        with pytest.raises(DomainError):
+            lemma4_bound(RVConstants(a=a, b=1e300), mode)
+
+
+def exact_sondow(t, n, mu):
+    p_next = int(t.primes[n])
+    primorial = math.prod(int(p) for p in t.primes[:n])
+    return p_next**mu.denominator <= primorial ** (2 * mu.numerator)
+
 
 class TestSondow:
     def test_small_cases(self, table3k):
@@ -228,3 +244,40 @@ class TestSondow:
     def test_mu_must_be_positive(self, table3k):
         with pytest.raises(DomainError):
             sondow_inequality_check(table3k, 1, 0)
+
+    def test_log_decision_matches_exact_powers(self, table3k):
+        for n in range(1, 61):
+            for k in range(1, 121):
+                mu = Fraction(k, 20)
+                assert sondow_inequality_check(table3k, n, mu).holds == exact_sondow(
+                    table3k, n, mu
+                ), (n, mu)
+
+    @pytest.mark.parametrize(
+        "mu, holds",
+        [
+            (Fraction(25254, 31867), False),
+            (Fraction(150997, 190537), True),
+            (Fraction(24727, 31202), True),
+        ],
+    )
+    def test_near_tie_within_budget_decided_exactly(self, table3k, monkeypatch, mu, holds):
+        # convergents of log 3 / log 4, where 3 = 2^(2 mu) ties at n = 1
+        check = sondow_inequality_check(table3k, 1, mu)
+        assert check.holds is holds
+        assert holds == exact_sondow(table3k, 1, mu)
+        # a near tie: a budget too small for the powers refuses it
+        monkeypatch.setenv("PISTAIR_BIGINT_DIGITS", "1000")
+        with pytest.raises(ResourceLimitError):
+            sondow_inequality_check(table3k, 1, mu)
+
+    def test_tiny_mu_fails_without_powers(self, table3k):
+        check = sondow_inequality_check(table3k, 5, "1e-400")
+        assert check.holds is False
+        assert check.mu == Fraction(1, 10**400)
+
+    def test_near_tie_beyond_budget_refused(self, table3k):
+        # 0.792481250361 is within 1e-12 of log 3 / log 4; deciding it exactly
+        # needs powers of about 10^12 digits
+        with pytest.raises(ResourceLimitError):
+            sondow_inequality_check(table3k, 1, "0.792481250361")

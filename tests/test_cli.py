@@ -363,12 +363,32 @@ class TestErrors:
             ("gap", "--N", "5", "--digits", "0"),
             ("exponents", "--digits", "0", "--max-q", "100"),
             ("exponents", "--digits", "-3", "--max-q", "100"),
+            ("euclid", "--level", "1", "--mantissa", "inf"),
+            ("euclid", "--level", "0", "--mantissa", "inf"),
+            ("euclid", "--level", "0", "--mantissa", "nan"),
+            ("euclid", "--level", "2", "--mantissa=-inf"),
+            ("staircase", "--mode", "factorial-squared", "--b", "1e308", "--start", "1000"),
+            ("lemma4", "--a=-1e-320", "--b", "1"),
+            ("lemma4", "--a=-2.000000000000001", "--b", "1e300", "--mode", "shifted"),
         ],
     )
     def test_malformed_value_exit_2(self, capsys, args):
         code, _, err = run(capsys, *args)
         assert code == 2
         assert json.loads(err.strip().splitlines()[0])["error"] == "DomainError"
+
+    def test_sondow_near_tie_beyond_budget_exit_2(self, capsys):
+        code, out, err = run(capsys, "sondow", "--n", "1", "--mu", "0.792481250361")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.strip().splitlines()[0])["error"] == "ResourceLimitError"
+
+    def test_sondow_tiny_mu_answers(self, capsys):
+        code, out, _ = run(capsys, "sondow", "--n", "5", "--mu", "1e-400")
+        assert code == 0
+        (record,) = json_lines(out)
+        assert record["holds"] is False
+        assert record["mu"] == "1/1" + "0" * 400
 
 
 class TestOutputContracts:

@@ -84,16 +84,31 @@ class TestEulerProduct:
         with pytest.raises(RangeError):
             euler_product(table3k, 3001)
 
-    def test_cache_boundary_and_descending_queries(self, monkeypatch):
-        # force the dense/cursor boundary low and hit it from both sides
-        from pistair import euler as euler_module
-
-        monkeypatch.setattr(euler_module, "_DENSE_PRIME_COUNT", 5)
+    def test_out_of_order_queries(self):
         t = sieve(200)
         primes = t.primes.tolist()
         expected = {N: brute_force_product(primes, N) for N in range(1, 101)}
         for N in (100, 40, 13, 60, 100, 7, 99):
             assert euler_product(t, N).value == expected[N]
+
+    def test_shuffled_and_descending_queries_match_ascending(self):
+        t = sieve(60_000)
+        ascending = list(range(20_000, 60_001, 5_000))
+        expected = {N: euler_product(t, N).value for N in ascending}
+        shuffled = [35_000, 60_000, 20_000, 50_000, 25_000, 45_000, 30_000, 55_000, 40_000]
+        assert sorted(shuffled) == ascending
+        for N in shuffled + ascending[::-1]:
+            assert euler_product(t, N).value == expected[N]
+
+    def test_interleaved_tables(self):
+        small, large = sieve(200), sieve(5_000)
+        primes = large.primes.tolist()
+        for N in (100, 3, 200, 50, 199, 2):
+            assert euler_product(small, N).value == brute_force_product(primes, N)
+            assert euler_product(large, N).value == brute_force_product(primes, N)
+            assert euler_product(large, 25 * N).value == brute_force_product(
+                primes, 25 * N
+            )
 
     def test_gap_against_live_high_precision_oracle(self, table3k):
         # independent oracle: mpmath at 60 significant digits

@@ -64,6 +64,13 @@ class TestTowerNormalize:
         with pytest.raises(DomainError):
             tower_normalize(3, 0.0)
 
+    @pytest.mark.parametrize("level", [0, 1, 3])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_mantissa(self, level, bad):
+        # log(inf) = inf, so raising the level would never end
+        with pytest.raises(DomainError):
+            tower_normalize(level, bad)
+
     @given(st.integers(0, 4), st.floats(0.01, 500.0))
     @settings(max_examples=200, deadline=None)
     def test_value_preserved(self, level, mantissa):
@@ -321,6 +328,11 @@ class TestStaircase:
         cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 2, 5)
         assert len(cert.steps) == 5
         assert [s.index for s in cert.steps] == list(range(5))
+
+    def test_overflowing_log_end_refused(self, table100k):
+        # m ln Q(1000) overflows to inf at b = 1e308
+        with pytest.raises(DomainError):
+            staircase_certify(table100k, 1e308, None, "factorial-squared", 1000, 1)
 
     def test_steps_strictly_increase(self, table100k):
         cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 2, 5)
