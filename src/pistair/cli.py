@@ -4,8 +4,8 @@ Every subcommand prints one record per line (JSON by default, CSV or an
 aligned table on request).  Data records never contain timestamps, so
 identical invocations produce identical bytes; `--meta` adds a separate
 metadata record.  Exit codes: 0 success, 1 verification/precision or
-internal failure, 2 usage error.  Errors carry a single-line JSON reason
-on stderr.
+internal failure (any exception that is not a `PistairError`), 2 usage
+error.  Errors carry a single-line JSON reason on stderr.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .staircase import (
     theorem3_sequence,
     tower_normalize,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 FORMATS = ("json", "csv", "table")
 
@@ -299,11 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mantissa", type=float, required=True)
 
     p = add("verify", "run a named verification suite")
-    p.add_argument(
-        "--suite",
-        choices=("arith", "primes", "euler", "approx", "staircase", "all"),
-        default="all",
-    )
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
 
     return parser
 
@@ -345,7 +341,7 @@ def run_cli(args: list[str]) -> int:
         return _fail(exc, 1)
     except PistairError as exc:
         return _fail(exc, 2)
-    except ValueError as exc:
+    except Exception as exc:
         # an internal failure, not a usage error
         return _fail(exc, 1)
 

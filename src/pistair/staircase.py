@@ -611,6 +611,16 @@ def staircase_certify(
         raise RangeError(f"steps must be >= 1, got {steps}")
     if q_mode == "assumed-g" and g is None:
         raise DomainError("assumed-g mode needs the bound function g")
+    ln_q_start, _ = _ln_q_bound_int(t, N_start, q_mode, g)
+    try:
+        ln_end_start = m * ln_q_start
+    except OverflowError:  # m itself is beyond the float range
+        ln_end_start = math.inf
+    if not math.isfinite(ln_end_start):
+        raise DomainError(
+            f"m ln Q({N_start}) overflows a float: measure bound b={b}, "
+            f"exponent m ~ 10^{math.log10(m):.1f}"
+        )
 
     budget = config.bigint_digit_budget()
     q_cap = config.factorial_cap()

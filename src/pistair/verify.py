@@ -1,10 +1,13 @@
-"""Self-contained verification suites behind the CLI `verify` subcommand.
+"""One registry of checks behind `pistair verify` and the acceptance suite.
 
-Each suite re-derives its expected values from an independent route
-(brute-force products, fold-lcm, trial division, Taylor bounds) at sizes
-chosen to finish in seconds, and uses fixed seeds so runs are identical.
-The full-scale acceptance checks live in the test suite; these are the
-CI-friendly one-shot subset.
+Each check re-derives one claim of the chain by an independent route
+(brute-force products, fold-lcm, trial division, Taylor bounds, exact
+integer re-checks) and takes its size as its argument.  `@_check` files it
+in `SUITES` under its suite and name, with the size `pistair verify` runs
+it at; `tests/test_acceptance.py` calls the same functions at full size
+and adds only the values frozen at that scale.  A check fails by raising
+`CheckFailed`, never through `assert`, which `python -O` strips.  Some
+return what they computed, for such full-scale assertions.
 """
 
 from __future__ import annotations
@@ -14,38 +17,36 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import config
+from .approx import (
+    RV_PAGE102, continued_fraction, convergents, lemma4_bound, measure_exponents,
+    sondow_inequality_check, zeta2_exponent_report,
+)
 from .arith import (
-    Placement,
-    RealEnclosure,
-    enclosure_compare,
-    exp_taylor_enclosure,
-    rational_exp_upper,
+    Placement, RealEnclosure, enclosure_compare, exp_taylor_enclosure, rational_exp_upper,
     zeta2_enclosure,
 )
-from .approx import (
-    RV_PAGE102,
-    continued_fraction,
-    convergents,
-    lemma4_bound,
-    measure_exponents,
-    sondow_inequality_check,
-)
+from .errors import ResourceLimitError
 from .euler import approximation_gap, euler_product, qn_bound_report, tail_product_upper
-from .primes import lcm_to, log_lcm_table, log_lcm_to, nth_prime, prime_count, sieve
+from .primes import (
+    lcm_to, log_lcm_table, log_lcm_to, nth_prime, nth_prime_limit_estimate, prime_count, sieve,
+)
 from .staircase import (
-    Ordering,
-    euclid_baseline,
-    staircase_certify,
-    theorem1_gate,
-    theorem2_sequence,
-    theorem3_sequence,
-    tower_compare,
-    tower_from_float,
-    tower_normalize,
-    tower_to_float,
+    Ordering, euclid_baseline, staircase_certify, theorem1_gate, theorem2_sequence,
+    theorem3_sequence, tower_compare, tower_from_float, tower_normalize, tower_to_float,
 )
 
 SEED = 20240214
+CF_TERMS = 500  # more quotients than a 120-digit enclosure of zeta(2) resolves
+
+#: suite -> [(name, check, size)] in run order; a size of None calls the check bare
+SUITES: dict[str, list] = {}
+
+
+class CheckFailed(Exception):
+    """A check found the claim it tests to be false."""
 
 
 @dataclass(frozen=True)
@@ -56,288 +57,321 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(results: list, suite: str, name: str, ok: bool, detail: str = ""):
-    results.append(CheckResult(suite, name, bool(ok), detail))
+def _check(suite: str, name: str, size=None):
+    """Register the decorated function as the check `name` of `suite`."""
+    def register(fn):
+        SUITES.setdefault(suite, []).append((name, fn, size))
+        return fn
+    return register
 
 
-def _partial_sum(n: int) -> Fraction:
-    return sum(Fraction(1, k * k) for k in range(1, n + 1))
+def _require(ok: bool, message: str, *args) -> None:
+    """Raise CheckFailed unless ok; message % args is formatted only then."""
+    if not ok:
+        raise CheckFailed(message % args)
 
 
-def verify_arith() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    enc = zeta2_enclosure(30)
-    _check(out, "arith", "zeta2 width <= 1e-30", enc.width <= Fraction(1, 10**30))
-    s = _partial_sum(1000)
+def _equal(got, want) -> None:
+    _require(got == want, "got %r, want %r", got, want)
+
+
+def _near(got: float, want: float, tol: float) -> None:
+    _require(abs(got - want) < tol, "got %r, want %r within %g", got, want, tol)
+
+
+@_check("arith", "zeta2 width <= 1e-30", 30)
+def zeta2_width(digits: int):
+    width = zeta2_enclosure(digits).width
+    _require(width <= Fraction(1, 10**digits), "width %.3g at %d digits", width, digits)
+
+@_check("arith", "zeta2 inside the partial-sum sandwich", 30)
+def zeta2_sandwich(digits: int):
+    # S = sum_{k <= 1000} 1/k^2 over one common denominator; S + 1/1001 < zeta(2) < S + 1/1000
+    den = math.lcm(*range(1, 1001)) ** 2
+    s = Fraction(sum(den // (k * k) for k in range(1, 1001)), den)
+    enc = zeta2_enclosure(digits)
     inside = s + Fraction(1, 1001) < enc.lo and enc.hi < s + Fraction(1, 1000)
-    _check(out, "arith", "zeta2 inside the partial-sum sandwich", inside)
-    finer = zeta2_enclosure(40)
-    _check(out, "arith", "finer enclosure nests", enc.contains_enclosure(finer))
-    _check(
-        out,
-        "arith",
-        "compare below/above/overlap",
-        enclosure_compare(enc, 1) is Placement.BELOW
-        and enclosure_compare(enc, 2) is Placement.ABOVE
-        and enclosure_compare(enc, enc.midpoint) is Placement.OVERLAPPING,
-    )
+    _require(inside, "the %d-digit enclosure leaves the sandwich", digits)
+
+_check("arith", "finer enclosure nests", 30)(
+    lambda d: _equal(zeta2_enclosure(d).contains_enclosure(zeta2_enclosure(d + 10)), True)
+)
+
+@_check("arith", "compare below/above/overlap", 30)
+def zeta2_compare(digits: int):
+    enc = zeta2_enclosure(digits)
+    got = [enclosure_compare(enc, r) for r in (1, 2, enc.midpoint)]
+    _equal(got, [Placement.BELOW, Placement.ABOVE, Placement.OVERLAPPING])
+
+@_check("arith", "exp upper dominates the Taylor oracle (100 samples)", 100)
+def exp_upper_vs_taylor(samples: int):
     rng = random.Random(SEED)
-    ok = True
-    for _ in range(100):
+    for _ in range(samples):
         den = rng.randint(1, 1000)
         x = Fraction(rng.randint(0, den), den)
         upper = rational_exp_upper(x)
-        taylor = exp_taylor_enclosure(x)
-        if not (taylor.lo <= upper and upper <= 1 + x + x * x):
-            ok = False
-            break
-    _check(out, "arith", "exp upper dominates the Taylor oracle (100 samples)", ok)
-    return out
+        ok = exp_taylor_enclosure(x).lo <= upper <= 1 + x + x * x
+        _require(ok, "exp upper bound out of [Taylor lo, 1 + x + x^2] at x = %s", x)
 
-
-def _trial_division_primes(limit: int) -> list[int]:
+@_check("primes", "sieve matches trial division to 1000", 1000)
+def sieve_matches_trial_division(n_max: int):
     found = []
-    for n in range(2, limit + 1):
+    for n in range(2, n_max + 1):
         if all(n % p for p in found if p * p <= n):
             found.append(n)
-    return found
+    _equal(sieve(n_max).primes.tolist(), found)
 
+_check("primes", "pi(100) = 25")(lambda: _equal(prime_count(sieve(1000), 100), 25))
+_check("primes", "p_4 = 7")(lambda: _equal(nth_prime(sieve(1000), 4), 7))
 
-def verify_primes() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    t = sieve(10_000)
-    _check(
-        out,
-        "primes",
-        "sieve matches trial division to 1000",
-        t.primes[: prime_count(t, 1000)].tolist() == _trial_division_primes(1000),
-    )
-    _check(out, "primes", "pi(100) = 25", prime_count(t, 100) == 25)
-    _check(out, "primes", "p_4 = 7", nth_prime(t, 4) == 7)
-    fold = 1
-    ok = True
-    for n in range(1, 501):
+@_check("primes", "lcm_to equals fold-lcm to 500", 500)
+def lcm_matches_fold(n_max: int):
+    t, fold = sieve(n_max), 1
+    for n in range(1, n_max + 1):
         fold = math.lcm(fold, n)
-        if lcm_to(t, n) != fold:
-            ok = False
-            break
-    _check(out, "primes", "lcm_to equals fold-lcm to 500", ok)
-    table = log_lcm_table(t, 10_000)
-    counts = [prime_count(t, n) for n in (10, 100, 1000, 10_000)]
-    ok = all(
-        table[n] <= c * math.log(n) + 1e-9
-        for n, c in zip((10, 100, 1000, 10_000), counts)
-    )
-    _check(out, "primes", "log d_n <= pi(n) log n at decade marks", ok)
-    rep = log_lcm_to(t, 10)
-    _check(
-        out,
-        "primes",
-        "log_lcm_to(10) = log 2520",
-        abs(rep.log_lcm - math.log(2520)) < 1e-9,
-    )
+        _require(lcm_to(t, n) == fold, "lcm_to(%d) differs from the fold-lcm", n)
+
+@_check("primes", "log d_n <= pi(n) log n at decade marks", 10_000)
+def log_lcm_bound(n_max: int):
+    """log d_n <= pi(n) log n at every 2 <= n <= n_max; log d_n ~ n at n_max."""
+    t = sieve(n_max)
+    n = np.arange(2, n_max + 1)
+    bound = np.searchsorted(t.primes, n, side="right") * np.log(n)
+    above = np.flatnonzero(log_lcm_table(t, n_max)[2:] > bound + 1e-9) + 2
+    _require(above.size == 0, "log d_n > pi(n) log n at n = %s", above[:1])
+    final = log_lcm_to(t, n_max)
+    ok = final.log_lcm <= final.pi_log_n and abs(final.log_lcm / n_max - 1) < 0.02
+    _require(ok, "log d_n = %r, pi(n) log n = %r at n = %d", final.log_lcm, final.pi_log_n, n_max)
+
+_check("primes", "log_lcm_to(10) = log 2520")(
+    lambda: _near(log_lcm_to(sieve(100), 10).log_lcm, math.log(2520), 1e-9)
+)
+
+@_check("primes", "bulk table agrees with per-n sums (50 samples)", 10_000)
+def log_lcm_samples(n_max: int):
+    t = sieve(n_max)
+    table = log_lcm_table(t, n_max)
     rng = random.Random(SEED)
-    samples = [rng.randint(2, 10_000) for _ in range(50)]
-    ok = all(abs(log_lcm_to(t, n).log_lcm - table[n]) < 1e-6 for n in samples)
-    _check(out, "primes", "bulk table agrees with per-n sums (50 samples)", ok)
-    return out
+    for n in [rng.randint(2, n_max) for _ in range(50)]:
+        got, bulk = log_lcm_to(t, n).log_lcm, float(table[n])
+        ok = abs(got - bulk) < 1e-6 and math.isclose(got, bulk, rel_tol=1e-9, abs_tol=1e-12)
+        _require(ok, "log_lcm_to(%d) = %r, bulk table %r", n, got, bulk)
 
+@_check("euler", "euler_product(10) = 1225/768")
+def euler_product_at_10():
+    _equal(euler_product(sieve(100), 10).value, Fraction(1225, 768))
 
-def verify_euler() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    t = sieve(3000)
-    _check(
-        out,
-        "euler",
-        "euler_product(10) = 1225/768",
-        euler_product(t, 10).value == Fraction(1225, 768),
-    )
-    brute = Fraction(1)
-    ok = True
-    previous = Fraction(1)
-    for n in range(1, 301):
-        if n >= 2 and prime_count(t, n) > prime_count(t, n - 1):
+@_check("euler", "incremental product matches brute force to 300", 300)
+def euler_matches_brute_force(n_max: int):
+    t = sieve(n_max)
+    primes = set(t.primes.tolist())
+    brute = previous = Fraction(1)
+    for n in range(1, n_max + 1):
+        if n in primes:
             brute *= Fraction(n * n, n * n - 1)
         value = euler_product(t, n).value
-        if value != brute or (n >= 2 and value < previous):
-            ok = False
-            break
+        ok = value == brute and value >= previous
+        _require(ok, "euler_product(%d) differs from the brute force or decreases", n)
         previous = value
-    _check(out, "euler", "incremental product matches brute force to 300", ok)
-    ok = True
-    for n in range(1, 121):
-        rep = qn_bound_report(t, n)
-        if not (rep.chain_ok and rep.factorial_ok and rep.q_divides_prod):
-            ok = False
-            break
-    _check(out, "euler", "q_N bound chain holds to 120", ok)
-    limit = zeta2_enclosure(30).lo
-    ok = all(euler_product(t, n).value < limit for n in range(1, 2001))
-    _check(out, "euler", "products stay below zeta(2) to 2000", ok)
-    ok = all(
-        tail_product_upper(f) <= Fraction(10, 1) / f for f in (2, 10, 100, 1000, 10**6)
-    )
-    _check(out, "euler", "tail bound never exceeds 10/f", ok)
-    gap = approximation_gap(t, 23, 30)
-    _check(
-        out,
-        "euler",
-        "gap at N=23 within tail bound at f=28 (no prime in (23, 28])",
-        prime_count(t, 28) == prime_count(t, 23) and gap.gap.hi <= tail_product_upper(28),
-    )
-    gap2 = approximation_gap(t, 2, 30)
-    _check(
-        out,
-        "euler",
-        "gap exponent at N=2 near 1.0614",
-        gap2.exponent is not None and abs(gap2.exponent - 1.061369) < 1e-3,
-    )
-    return out
 
+@_check("euler", "q_N bound chain holds to 120", 120)
+def qn_bound_chain(n_max: int):
+    """q_N <= prod(p^2 - 1) <= N^(2 pi(N)), q_N <= (N!)^2 and q_N | prod(p^2 - 1)
+    for 1 <= N <= n_max, from the report's integers and from its flags."""
+    t = sieve(n_max)
+    for n in range(1, n_max + 1):
+        r = qn_bound_report(t, n)
+        q, prod = r.q, r.prod_p2_minus_1
+        exact = q <= prod <= r.n_pow_2pi and q <= r.factorial_sq and prod % q == 0
+        flags = r.chain_ok and r.factorial_ok and r.q_divides_prod
+        _require(exact and flags, "the q_N bound chain fails at N=%d", n)
 
-def verify_approx() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    exact = RealEnclosure(Fraction(3, 2), Fraction(3, 2))
-    _check(out, "approx", "cf(3/2) = [1, 2]", continued_fraction(exact, 10) == [1, 2])
-    enc30 = zeta2_enclosure(30)
-    enc60 = zeta2_enclosure(60)
-    q30 = continued_fraction(enc30, 100)
-    q60 = continued_fraction(enc60, 100)
-    _check(out, "approx", "zeta2 quotients start [1,1,1,1,4]", q60[:5] == [1, 1, 1, 1, 4])
-    _check(out, "approx", "quotient prefix stable 30 -> 60 digits", q60[: len(q30)] == q30)
-    records = convergents(q60)
-    ok = all(
-        records[k].p * records[k - 1].q - records[k - 1].p * records[k].q
-        == (-1) ** (k - 1)
-        for k in range(1, len(records))
-    )
-    _check(out, "approx", "determinant identity holds", ok)
-    measured, best = measure_exponents(enc60, [r for r in records if r.q <= 10**9])
-    ok = all(r.exponent > 2 for r in measured if r.q >= 2)
-    _check(out, "approx", "every exponent with q >= 2 exceeds 2", ok)
-    three_halves = next(r for r in measured if r.p == 3 and r.q == 2)
-    _check(
-        out,
-        "approx",
-        "exponent of 3/2 near 2.7865",
-        abs(three_halves.exponent - 2.786531) < 1e-3,
-    )
-    _check(
-        out,
-        "approx",
-        "growth-rate bound (raw) is 1.66601... < 2",
-        abs(lemma4_bound(RV_PAGE102, "raw") - 1.6660111620) < 1e-9
-        and lemma4_bound(RV_PAGE102, "raw") < 2,
-    )
-    _check(
-        out,
-        "approx",
-        "growth-rate bound (shifted) near 7.6907",
-        abs(lemma4_bound(RV_PAGE102, "shifted") - 7.6907039631) < 1e-9,
-    )
+@_check("euler", "products stay below zeta(2) to 2000", 2000)
+def products_below_zeta2(n_max: int):
+    t, limit = sieve(n_max), zeta2_enclosure(30).lo
+    for n in range(1, n_max + 1):
+        _require(euler_product(t, n).value < limit, "p_N/q_N reaches zeta(2) at N=%d", n)
+
+@_check("euler", "tail bound never exceeds 10/f")
+def tail_bound_below_10_over_f():
+    for f in (2, 10, 100, 1000, 10**6):
+        _require(tail_product_upper(f) <= Fraction(10, f), "tail bound > 10/f at f=%d", f)
+
+@_check("euler", "gap at N=23 within tail bound at f=28 (no prime in (23, 28])", 30)
+def gap_at_23(digits: int):
     t = sieve(100)
-    ok = all(sondow_inequality_check(t, n, "5.45").holds for n in range(1, 16))
-    _check(out, "approx", "primorial inequality holds to n=15 at mu=5.45", ok)
-    _check(
-        out,
-        "approx",
-        "primorial inequality fails at mu=0.5, n=1",
-        not sondow_inequality_check(t, 1, Fraction(1, 2)).holds,
-    )
-    return out
+    _require(prime_count(t, 28) == prime_count(t, 23), "a prime lies in (23, 28]")
+    gap = approximation_gap(t, 23, digits).gap
+    _require(gap.hi <= tail_product_upper(28), "the gap at N=23 exceeds the tail bound")
 
+@_check("euler", "gap exponent at N=2 near 1.0614", 30)
+def gap_exponent_at_2(digits: int):
+    exponent = approximation_gap(sieve(100), 2, digits).exponent
+    _require(exponent is not None, "no exponent at N=2")
+    _near(exponent, 1.061369, 1e-3)
 
-def verify_staircase() -> list[CheckResult]:
-    out: list[CheckResult] = []
-    t = sieve(100_000)
-    _check(
-        out,
-        "staircase",
-        "normalize (1, 5) -> (2, log 5)",
-        tower_normalize(1, 5.0).level == 2
-        and abs(tower_normalize(1, 5.0).mantissa - math.log(5)) < 1e-12,
-    )
+_check("approx", "cf(3/2) = [1, 2]")(
+    lambda: _equal(continued_fraction(RealEnclosure(Fraction(3, 2), Fraction(3, 2)), 10), [1, 2])
+)
+_check("approx", "zeta2 quotients start [1,1,1,1,4]", 60)(
+    lambda digits: _equal(continued_fraction(zeta2_enclosure(digits), 5), [1, 1, 1, 1, 4])
+)
+
+@_check("approx", "quotient prefix stable 30 -> 60 digits", 30)
+def quotient_prefix_stable(digits: int):
+    coarse = continued_fraction(zeta2_enclosure(digits), CF_TERMS)
+    fine = continued_fraction(zeta2_enclosure(2 * digits), CF_TERMS)
+    _require(fine[: len(coarse)] == coarse, "quotients change from %d digits", digits)
+
+@_check("approx", "determinant identity holds", 60)
+def determinant_identity(digits: int):
+    """Checks p_k q_(k-1) - p_(k-1) q_k = (-1)^(k-1); returns the convergents."""
+    records = convergents(continued_fraction(zeta2_enclosure(digits), CF_TERMS))
+    for k in range(1, len(records)):
+        det = records[k].p * records[k - 1].q - records[k - 1].p * records[k].q
+        _require(det == (-1) ** (k - 1), "determinant %d at k=%d", det, k)
+    return records
+
+@_check("approx", "every exponent with q >= 2 exceeds 2", 10**9)
+def exponents_exceed_two(max_q: int):
+    records = convergents(continued_fraction(zeta2_enclosure(60), CF_TERMS))
+    kept = [r for r in records if r.q <= max_q]
+    measured, best = zeta2_exponent_report(max_q, digits=60)
+    _require(len(measured) == len(kept), "%d exponents, %d convergents", len(measured), len(kept))
+    low = [(r.p, r.q) for r in measured if r.q >= 2 and not r.exponent > 2]
+    _require(not low and best > 2, "exponent <= 2 at %s, maximum %r", low[:1], best)
+
+@_check("approx", "exponent of 3/2 near 2.7865", 60)
+def three_halves_exponent(digits: int):
+    enc = zeta2_enclosure(digits)
+    measured, _ = measure_exponents(enc, convergents(continued_fraction(enc, 3)))
+    _near(next(r.exponent for r in measured if (r.p, r.q) == (3, 2)), 2.786531, 1e-3)
+
+@_check("approx", "growth-rate bound (raw) is 1.66601... < 2")
+def lemma4_raw_bound() -> float:
+    raw = lemma4_bound(RV_PAGE102, "raw")
+    _near(raw, 1.6660111620, 1e-9)
+    _require(round(raw, 5) == 1.66601 and raw < 2, "raw bound %r", raw)
+    return raw
+
+@_check("approx", "growth-rate bound (shifted) near 7.6907")
+def lemma4_shifted_bound():
+    shifted = lemma4_bound(RV_PAGE102, "shifted")
+    _near(shifted, 7.6907039631, 1e-9)
+    _require(abs(shifted - 7.6907) <= 1e-4, "shifted bound %r", shifted)
+
+@_check("approx", "primorial inequality holds to n=15 at mu=5.45", 15)
+def sondow_holds(n_max: int):
+    t = sieve(nth_prime_limit_estimate(n_max + 1))
+    for n in range(1, n_max + 1):
+        for mu in ("5.45", 5.45):
+            _require(sondow_inequality_check(t, n, mu).holds, "fails at n=%d, mu=%r", n, mu)
+
+_check("approx", "primorial inequality fails at mu=0.5, n=1")(
+    lambda: _equal(sondow_inequality_check(sieve(100), 1, Fraction(1, 2)).holds, False)
+)
+
+@_check("staircase", "normalize (1, 5) -> (2, log 5)")
+def normalize_one_five():
+    x = tower_normalize(1, 5.0)
+    _equal(x.level, 2)
+    _near(x.mantissa, math.log(5), 1e-12)
+
+@_check("staircase", "tower order: antisymmetric, transitive, float-consistent", 500)
+def tower_order(trials: int):
     rng = random.Random(SEED)
     towers = [
         tower_normalize(rng.randint(1, 5), rng.uniform(1.0, math.e * 0.999))
         for _ in range(300)
     ] + [tower_from_float(rng.uniform(0.1, 100.0)) for _ in range(100)]
-    ok = True
-    for _ in range(500):
+    for _ in range(trials):
         x, y, z = rng.choice(towers), rng.choice(towers), rng.choice(towers)
-        cxy, cyx = tower_compare(x, y), tower_compare(y, x)
-        if cxy.value != -cyx.value:
-            ok = False
-            break
-        if (
-            tower_compare(x, y) is not Ordering.GREATER
-            and tower_compare(y, z) is not Ordering.GREATER
-            and tower_compare(x, z) is Ordering.GREATER
-        ):
-            ok = False
-            break
+        cxy = tower_compare(x, y)
+        _require(cxy.value == -tower_compare(y, x).value, "antisymmetry: %s, %s", x, y)
+        if cxy is not Ordering.GREATER and tower_compare(y, z) is not Ordering.GREATER:
+            xz = tower_compare(x, z)
+            _require(xz is not Ordering.GREATER, "transitivity: %s, %s, %s", x, y, z)
         fx, fy = tower_to_float(x), tower_to_float(y)
         if fx is not None and fy is not None:
-            expected = (
-                Ordering.LESS if fx < fy else Ordering.GREATER if fx > fy else Ordering.EQUAL
-            )
-            if cxy is not expected:
-                ok = False
-                break
-    _check(out, "staircase", "tower order: antisymmetric, transitive, float-consistent", ok)
-    _check(out, "staircase", "factorial gate fails at N=1", not theorem1_gate(t, 1).holds)
-    _check(
-        out,
-        "staircase",
-        "factorial gate holds for 2..50",
-        all(theorem1_gate(t, n).holds for n in range(2, 51)),
-    )
-    seq = theorem2_sequence(100)
-    ok = all(
-        abs(e.loglog - e.loglog_closed) <= 1e-9 * e.loglog_closed for e in seq
-    )
-    _check(out, "staircase", "double-exp iteration matches closed form to n=100", ok)
-    rep = theorem3_sequence(10_000, t, checkpoints=[1000])
-    _check(out, "staircase", "gap recursion sandwich holds to 10^4", rep.sandwich_ok)
-    _check(out, "staircase", "gap recursion increments >= 1", rep.min_increment >= 1.0)
-    cert = staircase_certify(t, 5.45, 6, "factorial-squared", 2, 3)
-    ok = len(cert.steps) == 3
-    for step in cert.steps:
-        if step.witness_mode == "exact":
-            if step.q is not None and not 10 * step.q**cert.exponent < step.end:
-                ok = False
+            expected = Ordering.LESS if fx < fy else Ordering.GREATER if fx > fy else Ordering.EQUAL
+            _require(cxy is expected, "float order: %s, %s", x, y)
+
+@_check("staircase", "factorial gate fails at N=1")
+def gate_fails_at_one():
+    _require(not theorem1_gate(sieve(100), 1).holds, "the gate holds at N=1")
+
+@_check("staircase", "factorial gate holds for 2..50", 50)
+def gate_holds(n_max: int):
+    t = sieve(n_max)
+    for n in range(2, n_max + 1):
+        gate = theorem1_gate(t, n)
+        # the flag, then a standalone integer re-check
+        _require(gate.holds and 10 * gate.q**6 < gate.f, "the gate fails at N=%d", n)
+
+@_check("staircase", "double-exp iteration matches closed form to n=100", 100)
+def double_exp_closed_form(n_max: int):
+    for e in theorem2_sequence(n_max):
+        _require(abs(e.loglog - e.loglog_closed) <= 1e-9 * e.loglog_closed, "n=%d", e.n)
+
+@_check("staircase", "gap recursion sandwich holds to 10^4", 10**4)
+def gap_sandwich(n_max: int):
+    """Checks the a_n sandwich; returns the report, with p_(n_max) at its checkpoint."""
+    t = sieve(nth_prime_limit_estimate(n_max))
+    report = theorem3_sequence(n_max, t, checkpoints=[n_max])
+    violation = report.first_sandwich_violation
+    _require(report.sandwich_ok and violation is None, "sandwich fails at n=%s", violation)
+    return report
+
+_check("staircase", "gap recursion increments >= 1", 10**4)(
+    lambda n_max: _require(theorem3_sequence(n_max).min_increment >= 1.0, "an increment < 1")
+)
+
+@_check("staircase", "staircase witnesses re-verify", [("factorial-squared", 2)])
+def staircase_witnesses(certificates) -> int:
+    """Re-verifies the 3-step staircase at b = 5.45, m = 6 from each (mode, start);
+    returns the number of sieve-confirmed steps."""
+    t, confirmed = sieve(100_000), 0
+    for mode, start in certificates:
+        cert = staircase_certify(t, 5.45, 6, mode, start, 3)
+        # only power-2piN stops early, once pi(N) is out of reach
+        full = len(cert.steps) == 3 or (mode == "power-2piN" and len(cert.steps) > 0)
+        _require(full, "%d steps from %d in %s", len(cert.steps), start, mode)
+        for step in cert.steps:
+            where = (step.index, start, mode)
+            if step.witness_mode == "exact" and step.q is not None:
+                ok = 10 * step.q**cert.exponent < step.end
+                _require(ok, "10 q^m >= end at step %d from %d in %s", *where)
             if step.sieve_confirmed:
-                lo, hi = step.start, step.end
-                if not any(lo < p <= hi for p in t.primes[: prime_count(t, hi)].tolist()):
-                    ok = False
-    _check(out, "staircase", "staircase witnesses re-verify", ok)
-    _check(
-        out,
-        "staircase",
-        "euclid baseline at 4, 16, 3",
-        euclid_baseline(tower_from_float(4)) == 1
-        and euclid_baseline(tower_from_float(16)) == 2
-        and euclid_baseline(tower_from_float(3)) == 0,
-    )
-    return out
+                confirmed += 1
+                w = step.prime_witness
+                ok = w is not None and step.start < w <= step.end
+                ok = ok and prime_count(t, step.end) > prime_count(t, step.start)
+                _require(ok, "no prime in step %d from %d in %s", *where)
+    return confirmed
+
+_check("staircase", "euclid baseline at 4, 16, 3")(
+    lambda: _equal([euclid_baseline(tower_from_float(x)) for x in (4, 16, 3)], [1, 2, 0])
+)
 
 
-SUITES = {
-    "arith": verify_arith,
-    "primes": verify_primes,
-    "euler": verify_euler,
-    "approx": verify_approx,
-    "staircase": verify_staircase,
-}
+def _run(suite: str, name: str, fn, size) -> CheckResult:
+    try:
+        fn() if size is None else fn(size)
+    except ResourceLimitError:
+        raise  # the caps refuse the work; that is not a failed check
+    except Exception as exc:
+        return CheckResult(suite, name, False, f"{type(exc).__name__}: {exc}")
+    return CheckResult(suite, name, True)
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Run one named suite, or all of them."""
-    if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite())
-        return results
-    if name not in SUITES:
+    """Run one named suite, or all of them.  An exception in a check fails it, with its
+    type and message in `detail`, except a `ResourceLimitError`, which propagates;
+    the caps are read once first, so a malformed one refuses the whole run."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()
+    for cap in (config.sieve_limit_cap, config.digit_cap, config.factorial_cap,
+                config.bigint_digit_budget):
+        cap()
+    suites = SUITES if name == "all" else [name]
+    return [_run(suite, *entry) for suite in suites for entry in SUITES[suite]]

@@ -1,38 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines
-and timings.  Expected values marked as frozen were computed from the
-independent oracles named next to them.
+Each criterion calls the checks of `pistair.verify` at full size (`pistair verify`
+runs them small) and asserts here only the values frozen at full scale.  Run
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines and timings.
 """
 
-import math
-import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from pistair import (
-    RV_PAGE102,
-    continued_fraction,
-    convergents,
-    euler_product,
-    lcm_to,
-    lemma4_bound,
-    log_lcm_table,
-    log_lcm_to,
-    prime_count,
-    qn_bound_report,
-    sieve,
-    sondow_inequality_check,
-    staircase_certify,
-    theorem1_gate,
-    theorem3_sequence,
-    zeta2_enclosure,
-    zeta2_exponent_report,
-)
+from pistair import verify
 
 
 @contextmanager
@@ -50,128 +28,65 @@ def criterion(number, description, budget_seconds):
     print(f"ACCEPTANCE {number} PASS ({elapsed:.2f}s): {description}")
 
 
-def test_criterion_1_exact_euler_products(table3k):
+def test_criterion_1_exact_euler_products():
     with criterion(1, "Euler products match brute force to N=2000", 10):
-        assert euler_product(table3k, 10).value == Fraction(1225, 768)
-        primes = table3k.primes.tolist()
-        num = den = 1
-        next_prime_index = 0
-        for N in range(1, 2001):
-            while next_prime_index < len(primes) and primes[next_prime_index] <= N:
-                p = primes[next_prime_index]
-                num *= p * p
-                den *= p * p - 1
-                next_prime_index += 1
-            assert euler_product(table3k, N).value == Fraction(num, den)
+        verify.euler_product_at_10()
+        verify.euler_matches_brute_force(2000)
 
 
 def test_criterion_2_enclosure_sandwich():
     with criterion(2, "zeta(2) enclosure at 60 digits sits in the sandwich", 5):
-        enc = zeta2_enclosure(60)
-        assert enc.width <= Fraction(1, 10**60)
-        s1000 = sum(Fraction(1, n * n) for n in range(1, 1001))
-        assert s1000 + Fraction(1, 1001) < enc.lo
-        assert enc.hi < s1000 + Fraction(1, 1000)
+        verify.zeta2_width(60)
+        verify.zeta2_sandwich(60)
 
 
-def test_criterion_3_qn_bound_chain(table3k):
+def test_criterion_3_qn_bound_chain():
     with criterion(3, "q_N chain and factorial bound hold for 2..500", 30):
-        for N in range(2, 501):
-            rep = qn_bound_report(table3k, N)
-            assert rep.q <= rep.prod_p2_minus_1 <= rep.n_pow_2pi
-            assert rep.q <= rep.factorial_sq
-            assert rep.prod_p2_minus_1 % rep.q == 0
+        verify.qn_bound_chain(500)
 
 
-def test_criterion_4_lcm_growth(bigtable):
+def test_criterion_4_lcm_growth():
     with criterion(4, "d_n matches fold-lcm to 5000; log d_n <= pi(n) log n to 10^6", 60):
-        fold = 1
-        for n in range(1, 5001):
-            fold = math.lcm(fold, n)
-            assert lcm_to(bigtable, n) == fold
-        n_max = 10**6
-        table = log_lcm_table(bigtable, n_max)
-        indices = np.arange(2, n_max + 1)
-        counts = np.searchsorted(bigtable.primes, indices, side="right")
-        bound = counts * np.log(indices)
-        assert np.all(table[2:] <= bound * (1 + 1e-12) + 1e-9)
-        rng = random.Random(99)
-        for n in [rng.randint(2, n_max) for _ in range(50)]:
-            assert log_lcm_to(bigtable, n).log_lcm == pytest.approx(table[n], rel=1e-9)
-        final = log_lcm_to(bigtable, n_max)
-        assert abs(final.log_lcm / n_max - 1) < 0.02
-        assert final.log_lcm <= final.pi_log_n
+        verify.lcm_matches_fold(5000)
+        verify.log_lcm_bound(10**6)
+        verify.log_lcm_samples(10**6)
 
 
 def test_criterion_5_gap_recursion_numerics():
     with criterion(5, "a_{10^6} near 15479041, 0.044% from p_{10^6}, sandwich", 120):
-        fresh_table = sieve(16_000_000)  # timed inside, per the budget
-        report = theorem3_sequence(10**6, fresh_table, checkpoints=[10**6])
+        report = verify.gap_sandwich(10**6)  # sieves inside, so timed per the budget
         assert abs(report.a_final - 15479041) / 15479041 < 0.001
         checkpoint = report.checkpoints[-1]
         assert checkpoint.p_n == 15485863
         assert 0.0003 <= checkpoint.rel_diff <= 0.0006
-        assert report.sandwich_ok
-        assert report.first_sandwich_violation is None
 
 
 def test_criterion_6_growth_rate_arithmetic():
     with criterion(6, "measure bound 1 - b/a to 5 decimals and < 2; shifted value", 5):
-        raw = lemma4_bound(RV_PAGE102, "raw")
+        raw = verify.lemma4_raw_bound()
         # frozen from exact arithmetic on the page-102 constants:
         # 1 - b/a = 425342804/255306095 = 1.66601116...
         assert raw == pytest.approx(425342804 / 255306095, abs=1e-12)
-        assert round(raw, 5) == 1.66601
-        assert raw < 2
-        shifted = lemma4_bound(RV_PAGE102, "shifted")
-        assert shifted == pytest.approx(7.6907, abs=1e-4)
+        verify.lemma4_shifted_bound()
 
 
-def test_criterion_7_factorial_gate(table3k):
+def test_criterion_7_factorial_gate():
     with criterion(7, "gate fails at N=1 and holds for 2..200", 10):
-        assert not theorem1_gate(table3k, 1).holds
-        for N in range(2, 201):
-            gate = theorem1_gate(table3k, N)
-            assert gate.holds
-            assert 10 * gate.q**6 < gate.f  # standalone re-check
+        verify.gate_fails_at_one()
+        verify.gate_holds(200)
 
 
 def test_criterion_8_continued_fractions():
     with criterion(8, "determinant identity, exponents > 2, prefix stability", 10):
-        quotients = continued_fraction(zeta2_enclosure(60), 500)
-        records = convergents(quotients)
+        records = verify.determinant_identity(60)
         assert records[-1].q > 10**12  # prefix provably covers q <= 10^12
-        kept = [r for r in records if r.q <= 10**12]
-        for k in range(1, len(kept)):
-            det = kept[k].p * kept[k - 1].q - kept[k - 1].p * kept[k].q
-            assert det == (-1) ** (k - 1)
-        measured, best = zeta2_exponent_report(10**12, digits=60)
-        assert len(measured) == len(kept)
-        assert all(r.exponent > 2 for r in measured if r.q >= 2)
-        assert best > 2
-        fine = continued_fraction(zeta2_enclosure(120), 500)
-        assert fine[: len(quotients)] == quotients
+        verify.exponents_exceed_two(10**12)
+        verify.quotient_prefix_stable(60)
 
 
-def test_criterion_9_staircase_certificates(table100k):
+def test_criterion_9_staircase_certificates():
     with criterion(9, "witnesses re-verify, confirmed steps hold primes, Sondow", 10):
-        total_confirmed = 0
-        for mode in ("factorial-squared", "power-2piN"):
-            for start in (2, 5, 11):
-                cert = staircase_certify(table100k, 5.45, 6, mode, start, 3)
-                assert cert.steps
-                for step in cert.steps:
-                    if step.witness_mode == "exact" and step.q is not None:
-                        assert 10 * step.q**cert.exponent < step.end
-                    if step.sieve_confirmed:
-                        total_confirmed += 1
-                        assert step.prime_witness is not None
-                        assert step.start < step.prime_witness <= step.end
-                        assert (
-                            prime_count(table100k, step.end)
-                            > prime_count(table100k, step.start)
-                        )
-        # from N=2 both modes' first gaps land inside the table
-        assert total_confirmed >= 2
-        for n in range(1, 16):
-            assert sondow_inequality_check(table100k, n, 5.45).holds
+        modes = ("factorial-squared", "power-2piN")
+        confirmed = verify.staircase_witnesses([(m, s) for m in modes for s in (2, 5, 11)])
+        assert confirmed >= 2  # from N=2 both modes' first gaps land inside the table
+        verify.sondow_holds(15)

@@ -1,10 +1,18 @@
+import dataclasses
+import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import pistair
 from pistair import (
     euler_product,
     lcm_to,
@@ -15,8 +23,9 @@ from pistair import (
     theorem1_gate,
     zeta2_enclosure,
 )
-from pistair import cli
+from pistair import cli, verify
 from pistair.cli import run_cli
+from pistair.errors import DomainError
 
 
 def run(capsys, *args):
@@ -324,10 +333,13 @@ class TestErrors:
         assert json.loads(err.strip().splitlines()[0])["error"] == "ResourceLimitError"
 
 
-    def test_internal_failure_exit_1(self, capsys, monkeypatch):
-        # a ValueError that is not a PistairError is a failure of the program
+    @pytest.mark.parametrize(
+        "error", [ValueError, OverflowError, ZeroDivisionError], ids=lambda e: e.__name__
+    )
+    def test_internal_failure_exit_1(self, capsys, monkeypatch, error):
+        # an exception that is not a PistairError is a failure of the program
         def broken(args):
-            raise ValueError("internal failure")
+            raise error("internal failure")
 
         monkeypatch.setitem(cli._HANDLERS, "euler", broken)
         code, out, err = run(capsys, "euler", "--N", "10")
@@ -336,7 +348,7 @@ class TestErrors:
         (line,) = err.strip().splitlines()
         record = json.loads(line)
         assert set(record) == {"error", "reason"}
-        assert record["error"] == "ValueError"
+        assert record["error"] == error.__name__
 
     def test_malformed_env_cap_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("PISTAIR_DIGIT_CAP", "abc")
@@ -443,6 +455,82 @@ class TestVerifySubcommand:
         assert code == 0
         assert json_lines(out)[-1]["failures"] == 0
 
+    def test_planted_error_fails_its_checks(self, capsys, monkeypatch):
+        def broken(digits):
+            raise DomainError("planted")
+
+        monkeypatch.setattr(verify, "zeta2_enclosure", broken)
+        code, out, err = run(capsys, "verify", "--suite", "arith")
+        assert (code, err) == (1, "")
+        *checks, summary = json_lines(out)
+        failed = [c for c in checks if not c["ok"]]
+        # every arith check reads the enclosure but the exp/Taylor one
+        assert [c["name"] for c in checks if c["ok"]] == [checks[-1]["name"]]
+        assert all(c["detail"] == "DomainError: planted" for c in failed)
+        assert checks[-1]["detail"] == ""
+        assert summary == {"suite": "arith", "checks": 5, "failures": 4}
+
+    def test_planted_wrong_value_exit_1(self, capsys, monkeypatch):
+        real = verify.euler_product
+        monkeypatch.setattr(
+            verify,
+            "euler_product",
+            lambda t, N: dataclasses.replace(real(t, N), value=real(t, N).value + 1),
+        )
+        code, out, _ = run(capsys, "verify", "--suite", "euler")
+        assert code == 1
+        *checks, summary = json_lines(out)
+        failed = {c["name"] for c in checks if not c["ok"]}
+        assert failed == {
+            "euler_product(10) = 1225/768",
+            "incremental product matches brute force to 300",
+            "products stay below zeta(2) to 2000",
+        }
+        assert all(c["detail"].startswith("CheckFailed: ") for c in checks if not c["ok"])
+        assert summary["failures"] == 3
+
+    def test_sieve_cap_refuses_the_run(self, capsys, monkeypatch):
+        monkeypatch.setenv("PISTAIR_SIEVE_LIMIT", "5000")
+        code, out, err = run(capsys, "verify", "--suite", "primes")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ResourceLimitError"
+
+    def test_malformed_cap_refuses_the_run(self, capsys, monkeypatch):
+        # the arith suite never reads this cap, but the runner reads every cap first
+        monkeypatch.setenv("PISTAIR_FACTORIAL_CAP", "abc")
+        code, out, err = run(capsys, "verify", "--suite", "arith")
+        assert (code, out) == (2, "")
+        assert "PISTAIR_FACTORIAL_CAP" in json.loads(err)["reason"]
+
+    def test_failures_survive_python_O(self):
+        # python -O strips assert statements; a check must fail without them
+        script = textwrap.dedent(
+            """
+            import dataclasses, sys
+            from pistair import verify
+            from pistair.cli import run_cli
+
+            if not sys.flags.optimize:
+                sys.exit(3)
+            real = verify.euler_product
+            verify.euler_product = lambda t, N: dataclasses.replace(
+                real(t, N), value=real(t, N).value + 1
+            )
+            sys.exit(run_cli(["verify", "--suite", "euler"]))
+            """
+        )
+        src = pathlib.Path(pistair.__file__).resolve().parent.parent
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert json_lines(proc.stdout)[-1]["failures"] == 3
+
 
 def parse_int(s):
     """Nonnegative decimal string to int, in pieces below the int<-str limit."""
@@ -545,6 +633,35 @@ class TestRefusals:
         _, _, zeta2_err = run(capsys, "zeta2", "--digits", digits)
         assert code == 2
         assert json.loads(err) == json.loads(zeta2_err)
+
+    @pytest.mark.parametrize("mode", ["factorial-squared", "power-2piN"])
+    @pytest.mark.parametrize(
+        "trigger",
+        [("--b", "1e308", "--start", "1000"), ("--steps", "1", "--m", "1" + "0" * 309)],
+        ids=["huge-b", "huge-m"],
+    )
+    def test_overflowing_exponent_refused_by_name(self, capsys, mode, trigger):
+        code, out, err = run(capsys, "staircase", "--mode", mode, *trigger)
+        assert (code, out) == (2, "")
+        (line,) = err.strip().splitlines()
+        record = json.loads(line)
+        assert record["error"] == "DomainError"
+        assert "measure bound b=" in record["reason"]
+        assert "exponent m ~ 10^" in record["reason"]
+
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("factorial-squared", "2bf44abaadd0672b976d47b9e90d9229d458b1d0ce22771f37de690577ac392d"),
+            ("power-2piN", "71729aad05664926992718001a74218890193d7944b01cb17d31e863186965d2"),
+        ],
+    )
+    def test_largest_finite_exponent_keeps_its_bytes(self, capsys, mode, digest):
+        # m ln Q(2) = 1.386e308 is still a float; the refusal leaves this run alone
+        args = ("--b", "1e308", "--start", "2", "--steps", "1")
+        code, out, _ = run(capsys, "staircase", "--mode", mode, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_measure_bound_two_is_accepted(self, capsys):
         code, out, _ = run(

@@ -3,7 +3,8 @@
 Each invocation's stdout is hashed and compared with a recorded sha256, so
 a refactor that changes any printed byte fails here.  The set is the 15
 README commands plus four large ones: Euler products over 2762 and 3245
-primes, and the factorial-capped reports at their cap N = 2000.
+primes, and the factorial-capped reports at their cap N = 2000.  Each
+`verify` suite is pinned on its own, and the whole run once more as CSV.
 """
 
 import hashlib
@@ -32,6 +33,12 @@ GOLDEN = {
     "gap --N 25000 --digits 30": "6cf59a1e5d51db4202d9803331ccf1ba87aa2a98c2b6064877d992e3d981f85c",
     "qbounds --N 2000": "8bcc3ad30f953e1f8cfcdef70841df7fb57deb277ae8e3d5c7d34502166aa910",
     "theorem1 --N 2000": "ca5b83b9a88aaaeb6907e03a511ada3cb30d6d47580fcc3da450b9c4a1ccc406",
+    "verify --suite arith": "3c902248842ad9f0dffea41f587d731af398c34b9e680b24de0b535e008c8ec2",
+    "verify --suite primes": "da365dd7e8f0be7b2b31366930c89245e6d3fecc9c0f56c54121eb9b9c3a1434",
+    "verify --suite euler": "1508e55c9bda9930c8084c71172261c6e2a885a4fbb2f7af6794cfd3c043333d",
+    "verify --suite approx": "7a0206f5717841d9e9196e4f984ca9d4b8985d4b31f593ab6c616a3f60614dab",
+    "verify --suite staircase": "44c303acff835c85806986c220f26d373c787e1c7108076e23a20e9107a3f328",
+    "verify --suite all --format csv": "5b9766d31194614450f83ede21a6dd281f5629cb18d31517b651d963dd23cd4a",
 }
 
 

@@ -334,6 +334,12 @@ class TestStaircase:
         with pytest.raises(DomainError):
             staircase_certify(table100k, 1e308, None, "factorial-squared", 1000, 1)
 
+    @pytest.mark.parametrize("mode", ["factorial-squared", "power-2piN"])
+    def test_exponent_beyond_float_refused(self, table100k, mode):
+        # m * ln Q(2) cannot even be formed as a float
+        with pytest.raises(DomainError, match=r"b=5\.45, exponent m ~ 10\^309"):
+            staircase_certify(table100k, 5.45, 10**309, mode, 2, 1)
+
     def test_steps_strictly_increase(self, table100k):
         cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 2, 5)
         def as_tower(v):
