@@ -212,16 +212,21 @@ def rational_exp_upper(x) -> Fraction:
 def exp_taylor_enclosure(x, terms: int = 30) -> RealEnclosure:
     """Two-sided exact-rational Taylor bounds on exp(x) for 0 <= x <= 1.
 
-    Independent of rational_exp_upper: partial sum below, partial sum plus
-    twice the first omitted term above (the tail of the series is at most
-    2 x^(K+1)/(K+1)! on this domain).
+    Independent of rational_exp_upper: the partial sum of K = terms terms
+    below, plus twice the first omitted term x^K/K! above.  The tail is at
+    most (K+1)/K times that term on this domain, so K >= 1 is required.
     """
     x = as_rational(x)
     if x < 0 or x > 1:
         raise DomainError(f"Taylor enclosure requires 0 <= x <= 1, got {x}")
-    total = Fraction(0)
-    term = Fraction(1)
+    if terms < 1:
+        raise DomainError(f"Taylor enclosure needs terms >= 1, got {terms}")
+    # Over the common denominator b^K K!, x^k/k! has the integer numerator
+    # a^k b^(K-k) K!/k!; each step to k + 1 divides exactly by b (k + 1).
+    a, b = x.numerator, x.denominator
+    denominator = b**terms * math.factorial(terms)
+    numerator, total = denominator, 0
     for k in range(terms):
-        total += term
-        term = term * x / (k + 1)
-    return RealEnclosure(total, total + 2 * term)
+        total += numerator
+        numerator = numerator * a // (b * (k + 1))
+    return RealEnclosure(Fraction(total, denominator), Fraction(total + 2 * numerator, denominator))

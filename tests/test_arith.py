@@ -209,3 +209,22 @@ def test_taylor_oracle_brackets_known_values():
     e = Fraction(math.e)
     assert enc.lo < e < enc.hi
     assert exp_taylor_enclosure(1).width < Fraction(1, 10**25)
+
+
+@given(st.fractions(min_value=0, max_value=1), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_taylor_enclosure_equals_stepwise_sum(x, terms):
+    # the Fraction-per-step loop the common-denominator sum replaces
+    total, term = Fraction(0), Fraction(1)
+    for k in range(terms):
+        total += term
+        term = term * x / (k + 1)
+    enc = exp_taylor_enclosure(x, terms)
+    assert (enc.lo, enc.hi) == (total, total + 2 * term)
+
+
+@pytest.mark.parametrize("terms", [-1, 0])
+def test_taylor_enclosure_refuses_fewer_than_one_term(terms):
+    # with no terms the bounds would be [0, 2], which misses exp(1)
+    with pytest.raises(DomainError, match="terms"):
+        exp_taylor_enclosure(1, terms)

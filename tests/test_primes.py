@@ -16,6 +16,7 @@ from pistair import (
     prime_count,
     sieve,
 )
+from pistair.primes import DEFAULT_SEGMENT_SIZE
 
 
 def trial_division_primes(limit):
@@ -24,6 +25,27 @@ def trial_division_primes(limit):
         if all(n % p for p in out if p * p <= n):
             out.append(n)
     return out
+
+
+def flat_sieve(limit):
+    # Byte-per-integer Eratosthenes: the reference every table must equal.
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime).astype(np.int64)
+
+
+SEGMENT_SIZES = (2, 3, 4, 5, 1000, 30030)
+REFERENCE = flat_sieve(16 * 15015 + 2)
+
+
+def assert_sieve(limit, segment_size=None, reference=REFERENCE):
+    got = sieve(limit, segment_size).primes
+    want = reference[: np.searchsorted(reference, limit, side="right")]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want), (limit, segment_size)
 
 
 def fold_lcm(n):
@@ -62,6 +84,64 @@ class TestSieve:
         t = sieve(100)
         with pytest.raises(ValueError):
             t.primes[0] = 1
+
+    def test_reference_is_trial_division(self):
+        assert REFERENCE[REFERENCE <= 2000].tolist() == trial_division_primes(2000)
+
+    def test_every_limit_to_2000(self):
+        for limit in range(2, 2001):
+            assert_sieve(limit)
+            assert_sieve(limit, 1000)
+
+    def test_every_limit_small_segments(self):
+        # one or two odd flags per segment: edges on every odd and even position
+        for segment_size in (2, 3, 4, 5):
+            for limit in range(2, 300):
+                assert_sieve(limit, segment_size)
+
+    def test_wheel_period_edges(self):
+        for k in range(1, 17):
+            for limit in range(15015 * k - 2, 15015 * k + 3):
+                for segment_size in (None, 1000, 30030):
+                    assert_sieve(limit, segment_size)
+
+    def test_around_prime_squares(self):
+        for p in REFERENCE[REFERENCE < 230].tolist():
+            for limit in (p * p - 1, p * p, p * p + 1):
+                for segment_size in (None, 1000, 30030) if p > 31 else (None,) + SEGMENT_SIZES:
+                    assert_sieve(max(limit, 2), segment_size)
+
+    def test_wheel_primes_as_limits(self):
+        for limit in (3, 5, 7, 11, 13):
+            for segment_size in (None,) + SEGMENT_SIZES:
+                assert_sieve(limit, segment_size)
+
+    def test_segment_edges_land_on_squares(self):
+        # 2p and 2p + 1 put one odd multiple of p in every segment; p^2 - 1 and
+        # p^2 + 1 end the first segment just below p^2 and exactly on it
+        for p in (17, 19, 23, 97):
+            for segment_size in (2 * p, 2 * p + 1, p * p - 1, p * p, p * p + 1):
+                assert_sieve(20_000, segment_size)
+
+    def test_default_segment_boundary(self):
+        size = DEFAULT_SEGMENT_SIZE
+        reference = flat_sieve(2 * size + 3)
+        for limit in (size - 1, size, size + 1, size + 2, 2 * size + 3):
+            assert_sieve(limit, reference=reference)
+
+    def test_pi_of_10_to_8(self):
+        t = sieve(10**8)
+        assert len(t) == 5761455
+        assert int(t.primes[-1]) == 99999989
+        assert t.primes.dtype == np.int64
+
+    @pytest.mark.parametrize("segment_size", [-5, 0, 1])
+    def test_rejects_bad_segment_size(self, segment_size):
+        with pytest.raises(RangeError, match="segment size"):
+            sieve(100, segment_size)
+
+    def test_none_is_the_default_segment(self):
+        assert np.array_equal(sieve(100, None).primes, sieve(100).primes)
 
 
 class TestPrimeCount:
@@ -174,6 +254,18 @@ class TestLogLcm:
         assert table[0] == 0 and table[1] == 0
         for n in (2, 10, 100, 999, 3000):
             assert table[n] == pytest.approx(log_lcm_to(table3k, n).log_lcm, rel=1e-12)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 8, 9, 25, 10**4, 10**5 + 3])
+    def test_bulk_table_bit_identical_to_loop(self, n_max):
+        t = sieve(10**5 + 3)
+        increments = np.zeros(n_max + 1, dtype=np.float64)
+        for p in t.primes[t.primes <= n_max].tolist():
+            log_p = math.log(p)
+            pk = p
+            while pk <= n_max:
+                increments[pk] += log_p
+                pk *= p
+        assert log_lcm_table(t, n_max).tobytes() == np.cumsum(increments).tobytes()
 
     def test_log_square_bound_under_hypothesis(self, table3k):
         # wherever pi(n) <= log n holds, log d_n <= (log n)^2 follows
