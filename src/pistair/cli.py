@@ -1,11 +1,15 @@
-"""Command-line front end with machine-readable output.
+"""Command-line front end: one table of subcommands, one parser.
 
-Every subcommand prints one record per line (JSON by default, CSV or an
-aligned table on request).  Data records never contain timestamps, so
-identical invocations produce identical bytes; `--meta` adds a separate
-metadata record.  Exit codes: 0 success, 1 verification/precision or
-internal failure (any exception that is not a `PistairError`), 2 usage
-error.  Errors carry a single-line JSON reason on stderr.
+`_DESCRIPTION` is what `pistair --help` tells the user about output and
+exit codes.  Each subcommand is declared once, by `@_command(name, help,
+*arguments, table=...)` on its handler, which files it in `COMMANDS`;
+`build_parser` turns that table into the argparse tree, adding `--format`
+and `--meta` to every subcommand and a trailing `--sieve-limit` to those
+declared with a prime table.  The parser is built once, at import, and
+`run_cli` only parses.  Every handler takes the parsed arguments and
+returns `(records, exit_code)`; `run_cli` looks the handler up in
+`COMMANDS` at call time, prints the records and returns the code, or turns
+an exception into a one-line JSON reason on stderr.
 """
 
 from __future__ import annotations
@@ -16,14 +20,12 @@ import datetime
 import io
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .arith import zeta2_enclosure
 from .approx import (
-    RVConstants,
-    continued_fraction,
-    lemma4_derivation,
-    sondow_inequality_check,
+    RVConstants, continued_fraction, lemma4_derivation, sondow_inequality_check,
     zeta2_exponent_report,
 )
 from .errors import PistairError, PrecisionExhaustedError
@@ -31,26 +33,54 @@ from .euler import approximation_gap, euler_product, qn_bound_report
 from .primes import lcm_to, log_lcm_to, nth_prime_limit_estimate, sieve
 from .records import decimal_str, rational_str, to_record
 from .staircase import (
-    euclid_baseline,
-    staircase_certify,
-    theorem1_gate,
-    theorem2_sequence,
-    theorem3_sequence,
-    tower_normalize,
+    euclid_baseline, staircase_certify, theorem1_gate, theorem2_sequence,
+    theorem3_sequence, tower_normalize,
 )
 from .verify import SUITES, run_suite
 
+_DESCRIPTION = """Command-line front end with machine-readable output.
+
+Every subcommand prints one record per line (JSON by default, CSV or an
+aligned table on request).  Data records never contain timestamps, so
+identical invocations produce identical bytes; `--meta` adds a separate
+metadata record.  Exit codes: 0 success, 1 verification/precision or
+internal failure (any exception that is not a `PistairError`), 2 usage
+error.  Errors carry a single-line JSON reason on stderr.
+"""
+
 FORMATS = ("json", "csv", "table")
+
+
+class _Command(NamedTuple):
+    help: str
+    arguments: tuple  # of (flags, options) pairs, as made by _arg
+    table: bool  # takes --sieve-limit
+    handler: Callable  # parsed arguments -> (records, exit_code)
+
+
+#: subcommand name -> its declaration, in the order `--help` lists them
+COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name: str, help: str, *arguments, table: bool = False):
+    """Register the decorated handler as the subcommand `name`."""
+    def register(handler):
+        COMMANDS[name] = _Command(help, arguments, table, handler)
+        return handler
+    return register
+
+
+def _arg(*flags: str, **options) -> tuple:
+    """One argument of a subcommand, as passed to `add_argument`."""
+    return flags, options
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse with single-line machine-parsable usage errors."""
 
     def error(self, message):
-        print(
-            json.dumps({"error": "usage", "reason": message}, sort_keys=True),
-            file=sys.stderr,
-        )
+        record = {"error": "usage", "reason": message}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -68,14 +98,13 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 
 def _emit(records: list[dict], fmt: str, meta: dict | None = None):
+    if meta is not None:
+        line = json.dumps({"meta": meta} if fmt == "json" else meta, sort_keys=True)
+        print(line if fmt == "json" else "# " + line)
     if fmt == "json":
-        if meta is not None:
-            print(json.dumps({"meta": meta}, sort_keys=True))
         for record in records:
             print(json.dumps(record, sort_keys=True))
     elif fmt == "csv":
-        if meta is not None:
-            print("# " + json.dumps(meta, sort_keys=True))
         flats = [_flatten(r) for r in records]
         fields = sorted({k for f in flats for k in f})
         buf = io.StringIO()
@@ -85,8 +114,6 @@ def _emit(records: list[dict], fmt: str, meta: dict | None = None):
             writer.writerow(flat)
         sys.stdout.write(buf.getvalue())
     else:
-        if meta is not None:
-            print("# " + json.dumps(meta, sort_keys=True))
         for record in records:
             flat = _flatten(record)
             width = max((len(k) for k in flat), default=0)
@@ -96,7 +123,7 @@ def _emit(records: list[dict], fmt: str, meta: dict | None = None):
 
 
 def _meta(args) -> dict | None:
-    if not getattr(args, "meta", False):
+    if not args.meta:
         return None
     return {
         "tool": "pistair",
@@ -107,74 +134,78 @@ def _meta(args) -> dict | None:
 
 
 def _table_for(args, minimum: int):
-    limit = args.sieve_limit if getattr(args, "sieve_limit", None) else max(minimum, 3)
-    return sieve(limit)
+    """The prime table to `--sieve-limit`, or to max(minimum, 3) without it."""
+    return sieve(max(minimum, 3) if args.sieve_limit is None else args.sieve_limit)
 
 
-# --- subcommand handlers ---------------------------------------------------
+# --- subcommands, in the order `--help` lists them ---------------------------
+
+_N, _n = _arg("--N", type=int, required=True), _arg("--n", type=int, required=True)
 
 
+@_command("euler", "exact truncated Euler product p_N/q_N", _N, table=True)
 def _cmd_euler(args):
-    t = _table_for(args, args.N)
-    approx = euler_product(t, args.N)
-    return [{**to_record(approx), "q_digits": approx.q_digits}]
+    approx = euler_product(_table_for(args, args.N), args.N)
+    return [{**to_record(approx), "q_digits": approx.q_digits}], 0
 
-
+@_command("gap", "enclosure of |pi^2/6 - p_N/q_N| and its exponent",
+          _N, _arg("--digits", type=int, default=30), table=True)
 def _cmd_gap(args):
-    t = _table_for(args, args.N)
-    return [to_record(approximation_gap(t, args.N, args.digits))]
+    return [to_record(approximation_gap(_table_for(args, args.N), args.N, args.digits))], 0
 
-
+@_command("qbounds", "exact denominator bound chain at N", _N, table=True)
 def _cmd_qbounds(args):
-    t = _table_for(args, args.N)
-    return [to_record(qn_bound_report(t, args.N))]
+    return [to_record(qn_bound_report(_table_for(args, args.N), args.N))], 0
 
-
+@_command("zeta2", "rigorous enclosure of zeta(2)", _arg("--digits", type=int, required=True))
 def _cmd_zeta2(args):
     enc = zeta2_enclosure(args.digits)
-    return [{**to_record(enc), "digits": args.digits, "width": rational_str(enc.width)}]
+    return [{**to_record(enc), "digits": args.digits, "width": rational_str(enc.width)}], 0
 
-
+@_command("cf", "provably-correct partial quotients of zeta(2)",
+          _arg("--digits", type=int, default=60), _arg("--terms", type=int, default=40))
 def _cmd_cf(args):
     quotients = continued_fraction(zeta2_enclosure(args.digits), args.terms)
-    return [
-        {"index": k, "partial_quotient": decimal_str(a)} for k, a in enumerate(quotients)
-    ]
+    records = [{"index": k, "partial_quotient": decimal_str(q)} for k, q in enumerate(quotients)]
+    return records, 0
 
-
+@_command("exponents", "measured exponents of zeta(2) convergents",
+          _arg("--digits", type=int, default=60), _arg("--max-q", type=int, default=10**6))
 def _cmd_exponents(args):
     records, best = zeta2_exponent_report(args.max_q, args.digits)
-    out = [to_record(r) for r in records]
-    out.append({"max_exponent": best, "convergents": len(records)})
-    return out
+    summary = {"max_exponent": best, "convergents": len(records)}
+    return [to_record(r) for r in records] + [summary], 0
 
-
+@_command("dn", "d_n = lcm(1..n), exact and logarithmic",
+          _n, _arg("--log-only", action="store_true"), table=True)
 def _cmd_dn(args):
     t = _table_for(args, args.n)
     record = to_record(log_lcm_to(t, args.n))
     if not args.log_only:
         record["d_n"] = decimal_str(lcm_to(t, args.n))
-    return [record]
+    return [record], 0
 
-
+@_command("theorem1", "factorial gate 10 q_N^6 < (N!)^14", _N, table=True)
 def _cmd_theorem1(args):
-    t = _table_for(args, args.N)
-    gate = theorem1_gate(t, args.N)
-    return [{**to_record(gate), "reading": gate.reading()}]
+    gate = theorem1_gate(_table_for(args, args.N), args.N)
+    return [{**to_record(gate), "reading": gate.reading()}], 0
 
-
+@_command("theorem2", "x_{n+1} = exp((log x_n)^e) sequence in log-log form", _n)
 def _cmd_theorem2(args):
-    return [to_record(entry) for entry in theorem2_sequence(args.n)]
+    return [to_record(entry) for entry in theorem2_sequence(args.n)], 0
 
-
+@_command("theorem3", "a_{n+1} = a_n + log a_n sequence with sandwich check",
+          _n, _arg("--sieve", action="store_true", help="compare a_n with p_n"), table=True)
 def _cmd_theorem3(args):
-    t = None
-    if args.sieve:
-        limit = args.sieve_limit or nth_prime_limit_estimate(args.n)
-        t = sieve(limit)
-    return [to_record(theorem3_sequence(args.n, t))]
+    # without --sieve no table is built, and --sieve-limit goes unread
+    t = _table_for(args, nth_prime_limit_estimate(args.n)) if args.sieve else None
+    return [to_record(theorem3_sequence(args.n, t))], 0
 
-
+@_command("staircase", "prime-gap staircase certificate",
+          _arg("--mode", choices=("factorial-squared", "power-2piN"), required=True),
+          _arg("--m", type=int, default=None), _arg("--b", type=float, default=5.45),
+          _arg("--start", type=int, default=2), _arg("--steps", type=int, default=3),
+          table=True)
 def _cmd_staircase(args):
     t = _table_for(args, 100_000)
     cert = staircase_certify(t, args.b, args.m, args.mode, args.start, args.steps)
@@ -186,157 +217,71 @@ def _cmd_staircase(args):
         {"record": "lower_bound", "at": step["end"], "pi_at_least": k}
         for step, (_, k) in zip(steps, cert.lower_bounds())
     ]
-    return [header] + [{"record": "step", **step} for step in steps] + bounds
+    return [header] + [{"record": "step", **step} for step in steps] + bounds, 0
 
-
+@_command("lemma4", "growth-rate measure bound 1 + rho/sigma",
+          _arg("--a", type=float, default=-2.55306095),
+          _arg("--b", type=float, default=1.70036709),
+          _arg("--mode", choices=("raw", "shifted"), default="raw"))
 def _cmd_lemma4(args):
-    constants = RVConstants(a=args.a, b=args.b)
-    derived = lemma4_derivation(constants, args.mode)
+    derived = lemma4_derivation(RVConstants(a=args.a, b=args.b), args.mode)
     bound = 1 + derived.rho / derived.sigma
-    return [{**to_record(derived), "mode": args.mode, "bound": bound}]
+    return [{**to_record(derived), "mode": args.mode, "bound": bound}], 0
 
-
+@_command("sondow", "primorial inequality p_{n+1} <= (p_1...p_n)^(2 mu)",
+          _n, _arg("--mu", type=str, default="5.45"))
 def _cmd_sondow(args):
-    t = _table_for(args, nth_prime_limit_estimate(args.n + 1))
-    return [to_record(sondow_inequality_check(t, args.n, args.mu))]
+    t = sieve(nth_prime_limit_estimate(args.n + 1))
+    return [to_record(sondow_inequality_check(t, args.n, args.mu))], 0
 
-
+@_command("euclid", "largest k with 2^(2^k) <= exp^level(mantissa)",
+          _arg("--level", type=int, required=True),
+          _arg("--mantissa", type=float, required=True))
 def _cmd_euclid(args):
     tower = tower_normalize(args.level, args.mantissa)
-    return [
-        {
-            "level": tower.level,
-            "mantissa": tower.mantissa,
-            "k": euclid_baseline(tower),
-        }
-    ]
+    return [{"level": tower.level, "mantissa": tower.mantissa, "k": euclid_baseline(tower)}], 0
 
-
+@_command("verify", "run a named verification suite",
+          _arg("--suite", choices=(*SUITES, "all"), default="all"))
 def _cmd_verify(args):
     results = run_suite(args.suite)
-    records = [to_record(r) for r in results]
     failures = sum(1 for r in results if not r.ok)
-    records.append(
-        {"suite": args.suite, "checks": len(results), "failures": failures}
-    )
-    return records, failures
+    summary = {"suite": args.suite, "checks": len(results), "failures": failures}
+    return [to_record(r) for r in results] + [summary], 1 if failures else 0
 
 
-# --- parser ----------------------------------------------------------------
+# --- parser and dispatch -----------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pistair", description=__doc__)
+    """The argparse tree of every subcommand in COMMANDS."""
+    parser = _Parser(prog="pistair", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"pistair {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--meta", action="store_true", help="prepend a metadata record")
-        return p
-
-    p = add("euler", "exact truncated Euler product p_N/q_N")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--sieve-limit", type=int)
-
-    p = add("gap", "enclosure of |pi^2/6 - p_N/q_N| and its exponent")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--digits", type=int, default=30)
-    p.add_argument("--sieve-limit", type=int)
-
-    p = add("qbounds", "exact denominator bound chain at N")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--sieve-limit", type=int)
-
-    p = add("zeta2", "rigorous enclosure of zeta(2)")
-    p.add_argument("--digits", type=int, required=True)
-
-    p = add("cf", "provably-correct partial quotients of zeta(2)")
-    p.add_argument("--digits", type=int, default=60)
-    p.add_argument("--terms", type=int, default=40)
-
-    p = add("exponents", "measured exponents of zeta(2) convergents")
-    p.add_argument("--digits", type=int, default=60)
-    p.add_argument("--max-q", type=int, default=10**6)
-
-    p = add("dn", "d_n = lcm(1..n), exact and logarithmic")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--log-only", action="store_true")
-    p.add_argument("--sieve-limit", type=int)
-
-    p = add("theorem1", "factorial gate 10 q_N^6 < (N!)^14")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--sieve-limit", type=int)
-
-    p = add("theorem2", "x_{n+1} = exp((log x_n)^e) sequence in log-log form")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("theorem3", "a_{n+1} = a_n + log a_n sequence with sandwich check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sieve", action="store_true", help="compare a_n with p_n")
-    p.add_argument("--sieve-limit", type=int)
-
-    p = add("staircase", "prime-gap staircase certificate")
-    p.add_argument("--mode", choices=("factorial-squared", "power-2piN"), required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--b", type=float, default=5.45)
-    p.add_argument("--start", type=int, default=2)
-    p.add_argument("--steps", type=int, default=3)
-    p.add_argument("--sieve-limit", type=int)
-
-    p = add("lemma4", "growth-rate measure bound 1 + rho/sigma")
-    p.add_argument("--a", type=float, default=-2.55306095)
-    p.add_argument("--b", type=float, default=1.70036709)
-    p.add_argument("--mode", choices=("raw", "shifted"), default="raw")
-
-    p = add("sondow", "primorial inequality p_{n+1} <= (p_1...p_n)^(2 mu)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu", type=str, default="5.45")
-
-    p = add("euclid", "largest k with 2^(2^k) <= exp^level(mantissa)")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--mantissa", type=float, required=True)
-
-    p = add("verify", "run a named verification suite")
-    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
+        if command.table:
+            p.add_argument("--sieve-limit", type=int)
     return parser
 
 
-_HANDLERS = {
-    "euler": _cmd_euler,
-    "gap": _cmd_gap,
-    "qbounds": _cmd_qbounds,
-    "zeta2": _cmd_zeta2,
-    "cf": _cmd_cf,
-    "exponents": _cmd_exponents,
-    "dn": _cmd_dn,
-    "theorem1": _cmd_theorem1,
-    "theorem2": _cmd_theorem2,
-    "theorem3": _cmd_theorem3,
-    "staircase": _cmd_staircase,
-    "lemma4": _cmd_lemma4,
-    "sondow": _cmd_sondow,
-    "euclid": _cmd_euclid,
-}
+_PARSER = build_parser()
 
 
 def run_cli(args: list[str]) -> int:
     """Dispatch a CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(args)
+        ns = _PARSER.parse_args(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if ns.command == "verify":
-            records, failures = _cmd_verify(ns)
-            _emit(records, ns.format, _meta(ns))
-            return 1 if failures else 0
-        records = _HANDLERS[ns.command](ns)
+        records, code = COMMANDS[ns.command].handler(ns)
         _emit(records, ns.format, _meta(ns))
-        return 0
+        return code
     except PrecisionExhaustedError as exc:
         return _fail(exc, 1)
     except PistairError as exc:
@@ -348,10 +293,8 @@ def run_cli(args: list[str]) -> int:
 
 def _fail(exc: Exception, code: int) -> int:
     """Report exc as one JSON line on stderr and return the exit code."""
-    print(
-        json.dumps({"error": type(exc).__name__, "reason": str(exc)}, sort_keys=True),
-        file=sys.stderr,
-    )
+    record = {"error": type(exc).__name__, "reason": str(exc)}
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
     return code
 
 

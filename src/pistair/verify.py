@@ -322,9 +322,17 @@ def gap_sandwich(n_max: int):
     _require(report.sandwich_ok and violation is None, "sandwich fails at n=%s", violation)
     return report
 
-_check("staircase", "gap recursion increments >= 1", 10**4)(
-    lambda n_max: _require(theorem3_sequence(n_max).min_increment >= 1.0, "an increment < 1")
-)
+@_check("staircase", "gap recursion increments >= 1", 10**4)
+def gap_increments(n_max: int):
+    """Runs its own loop a_2 = e, a_{n+1} = a_n + log a_n to n_max: the smallest
+    float increment must be >= 1 and equal theorem3_sequence's `min_increment`."""
+    a, smallest = math.e, math.inf
+    for _ in range(n_max - 2):
+        a_next = a + math.log(a)
+        smallest, a = min(smallest, a_next - a), a_next
+    _require(smallest >= 1.0, "an increment of %r", smallest)
+    reported = theorem3_sequence(n_max).min_increment
+    _require(reported == smallest, "theorem3_sequence reports %r, steps %r", reported, smallest)
 
 @_check("staircase", "staircase witnesses re-verify", [("factorial-squared", 2)])
 def staircase_witnesses(certificates) -> int:

@@ -341,7 +341,8 @@ class TestErrors:
         def broken(args):
             raise error("internal failure")
 
-        monkeypatch.setitem(cli._HANDLERS, "euler", broken)
+        euler = cli.COMMANDS["euler"]._replace(handler=broken)
+        monkeypatch.setitem(cli.COMMANDS, "euler", euler)
         code, out, err = run(capsys, "euler", "--N", "10")
         assert code == 1
         assert out == ""
@@ -488,6 +489,21 @@ class TestVerifySubcommand:
         }
         assert all(c["detail"].startswith("CheckFailed: ") for c in checks if not c["ok"])
         assert summary["failures"] == 3
+
+    def test_planted_increment_fails_its_check(self, capsys, monkeypatch):
+        real = verify.theorem3_sequence
+        monkeypatch.setattr(
+            verify,
+            "theorem3_sequence",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), min_increment=1.5),
+        )
+        code, out, _ = run(capsys, "verify", "--suite", "staircase")
+        assert code == 1
+        *checks, summary = json_lines(out)
+        (failed,) = [c for c in checks if not c["ok"]]
+        assert failed["name"] == "gap recursion increments >= 1"
+        assert failed["detail"] == "CheckFailed: theorem3_sequence reports 1.5, steps 1.0"
+        assert summary["failures"] == 1
 
     def test_sieve_cap_refuses_the_run(self, capsys, monkeypatch):
         monkeypatch.setenv("PISTAIR_SIEVE_LIMIT", "5000")
@@ -663,6 +679,26 @@ class TestRefusals:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "args",
+        [("euler", "--N", "10"), ("theorem3", "--n", "100", "--sieve")],
+        ids=["euler", "theorem3"],
+    )
+    def test_sieve_limit_zero_refused(self, capsys, args):
+        # like every limit below 2, not read as "no limit given"
+        code, out, err = run(capsys, *args, "--sieve-limit", "0")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "RangeError",
+            "reason": "sieve limit must be >= 2, got 0",
+        }
+
+    def test_sieve_limit_unread_without_sieve(self, capsys):
+        # theorem3 builds no table without --sieve
+        _, expected, _ = run(capsys, "theorem3", "--n", "100")
+        code, out, _ = run(capsys, "theorem3", "--n", "100", "--sieve-limit", "0")
+        assert (code, out) == (0, expected)
+
     def test_measure_bound_two_is_accepted(self, capsys):
         code, out, _ = run(
             capsys, "staircase", "--mode", "power-2piN", "--b", "2", "--steps", "1"
@@ -670,3 +706,23 @@ class TestRefusals:
         assert code == 0
         header = json_lines(out)[0]
         assert (header["measure_bound"], header["exponent"]) == (2.0, 3)
+
+
+class TestCommandTable:
+    def test_readme_commands_parse(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+        parser = cli.build_parser()
+        commands = set()
+        for argv in lines:
+            assert argv[0] == "pistair", argv
+            commands.add(parser.parse_args(argv[1:]).command)
+        assert commands == set(cli.COMMANDS)
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        def rebuilt():
+            raise AssertionError("run_cli rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert run(capsys, "euler", "--N", "10")[0] == 0

@@ -5,9 +5,14 @@ a refactor that changes any printed byte fails here.  The set is the 15
 README commands plus four large ones: Euler products over 2762 and 3245
 primes, and the factorial-capped reports at their cap N = 2000.  Each
 `verify` suite is pinned on its own, and the whole run once more as CSV.
+
+The parser is pinned too: the help text of the program and of each
+subcommand (at a fixed 80-column width), the version line, and the exact
+stderr line of each kind of usage error.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -42,8 +47,69 @@ GOLDEN = {
 }
 
 
+HELP = {
+    "--help": "73eeb4c43dce3b02af26c6faa783b4c66b44ce32bab33bbc83867df9eec09c61",
+    "--version": "b96a6523aa47673ab7989a437e369a9176b7ac539a422c620e3a3fb52db2fb05",
+    "euler --help": "33f0f8ef7df0103470967785e5e6c483b2868e89d19527b52d94b94b6b0ce6ae",
+    "gap --help": "ff9cb023b6aa24da9ea1624832879c3818ff0eb6e702af515a8d1933de520157",
+    "qbounds --help": "048989ef93e46f565cc2b4b94ac03b627a658e97951693c7bd740028abc99332",
+    "zeta2 --help": "42d4bb860ad32d203f0a89a797932c4c9e42443f1b32b42f52e263224d8fc628",
+    "cf --help": "878c7f5c5e239461cd6d129d10e3b9efe009f5d6230fd72c4d06e4544e2b747e",
+    "exponents --help": "44edeecab5b4d06a495b349ea5ce91219405c02ef5803eb6d0b3321c2e48672f",
+    "dn --help": "ebeb30284691af5a68fc4cad56f4e32c4623f26d99ae0cf230c7d8f06612aa97",
+    "theorem1 --help": "6b9dda4a5c7e85ca6a9feaca906d02806d905dbe11484c88fda7aa49e1daea38",
+    "theorem2 --help": "b1e820539e0e87bf815c09ffeea823a3d6387f9656968a1db388abdbd62143a2",
+    "theorem3 --help": "0cf2225d26beb6adefa980c6b5f43371bf35adc574d20fcc13b0d4354f3a9f05",
+    "staircase --help": "4dddbe3a02be97ec72e4ffb1a918226e65bddbf1589b8e3c393762f712b4b5e6",
+    "lemma4 --help": "e2b22cbb643425e069ef33603b067d7ee672c43ce3a0a9d7073890273465d1fb",
+    "sondow --help": "c4ef45f602bcf84859255fe0398c73e72d12296bf4d1c1342f097597a331db27",
+    "euclid --help": "86bc2490d17a4a207210355675bcbf307a245236569fa82a12e3d721e8a7a128",
+    "verify --help": "f7f8cbcf9909a6c4134aae6b2a2ba6cfe9eb209d6be34775940ab6f779fc4b4f",
+}
+
+COMMANDS = (
+    "'euler', 'gap', 'qbounds', 'zeta2', 'cf', 'exponents', 'dn', 'theorem1', "
+    "'theorem2', 'theorem3', 'staircase', 'lemma4', 'sondow', 'euclid', 'verify'"
+)
+USAGE_ERRORS = {
+    "": "the following arguments are required: command",
+    "bogus": f"argument command: invalid choice: 'bogus' (choose from {COMMANDS})",
+    "euler": "the following arguments are required: --N",
+    "euler --N x": "argument --N: invalid int value: 'x'",
+    "staircase --mode nope": (
+        "argument --mode: invalid choice: 'nope' "
+        "(choose from 'factorial-squared', 'power-2piN')"
+    ),
+    "euler --N 5 --format xml": (
+        "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'table')"
+    ),
+    "verify --suite nope": (
+        "argument --suite: invalid choice: 'nope' "
+        "(choose from 'arith', 'primes', 'euler', 'approx', 'staircase', 'all')"
+    ),
+}
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_stdout_matches_recorded_hash(capsys, command):
     assert run_cli(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_matches_recorded_hash(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(command.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == HELP[command]
+
+
+@pytest.mark.parametrize("command", sorted(USAGE_ERRORS))
+def test_usage_error_line(capsys, command):
+    assert run_cli(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = {"error": "usage", "reason": USAGE_ERRORS[command]}
+    assert captured.err == json.dumps(expected, sort_keys=True) + "\n"
