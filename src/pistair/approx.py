@@ -1,12 +1,14 @@
 """Continued fractions of enclosed reals and irrationality-exponent arithmetic.
 
-Partial quotients are emitted only while the Gauss map agrees on both
-enclosure endpoints, so every quotient is provably correct for every real
-the enclosure brackets.  Exponent measurements and the growth-rate bound
-mu <= 1 + rho/sigma with the published page-102 constants are
-exact-rational at the decision points.  The primorial inequality check
-compares logarithms of logarithms, with a margin far above float rounding,
-and falls back to exact integer powers only near a tie.
+Partial quotients are emitted only while the Gauss map, run on integer
+numerator/denominator pairs, agrees on both enclosure endpoints, so every
+quotient is provably correct for every real the enclosure brackets.
+Exponents come from integer cross-products over one common denominator,
+with one gcd per rational (arith.neg_log_gaps); the growth-rate bound
+mu <= 1 + rho/sigma with the published page-102 constants is exact-rational
+at the decision points.  The primorial inequality check compares logarithms
+of logarithms, with a margin far above float rounding, and falls back to
+exact integer powers only near a tie.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import config
-from .arith import RealEnclosure, as_rational, log_rational, zeta2_enclosure
+from .arith import RealEnclosure, as_rational, digit_ladder, neg_log_gaps, zeta2_enclosure
 from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
 from .primes import PrimeTable, nth_prime
 from .records import decimal_field
@@ -25,30 +27,29 @@ from .records import decimal_field
 def continued_fraction(x: RealEnclosure, max_terms: int) -> list[int]:
     """Longest provably-correct prefix of partial quotients for x.
 
-    Runs the Gauss map on both endpoints in exact rational arithmetic and
-    stops at the first disagreeing floor (or when an endpoint terminates).
-    An exact rational (lo == hi) yields its full canonical expansion, up to
-    max_terms.
+    Runs the Gauss map a/b -> b/(a - floor(a/b) b) on both endpoints as
+    integer pairs, which stay in lowest terms, and stops at the first
+    disagreeing floor (or when an endpoint terminates).  An exact rational
+    (lo == hi) yields its full canonical expansion, up to max_terms.
     """
     if x.lo <= 0:
         raise DomainError("continued fraction requires a positive enclosure")
     if max_terms < 1:
         raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-    lo, hi = x.lo, x.hi
+    (a, b), (c, e) = x.lo.as_integer_ratio(), x.hi.as_integer_ratio()
     quotients: list[int] = []
     while len(quotients) < max_terms:
-        a_lo = lo.numerator // lo.denominator
-        a_hi = hi.numerator // hi.denominator
-        if a_lo != a_hi:
+        k, rest_lo = divmod(a, b)
+        k_hi, rest_hi = divmod(c, e)
+        if k != k_hi:
             break
-        quotients.append(a_lo)
-        frac_lo = lo - a_lo
-        frac_hi = hi - a_hi
-        if frac_lo == 0 or frac_hi == 0:
+        quotients.append(k)
+        if rest_lo == 0 or rest_hi == 0:
             # An endpoint is exactly rational here; interior points may
             # continue with arbitrarily large quotients, so stop.
             break
-        lo, hi = 1 / frac_hi, 1 / frac_lo
+        # the new lo is 1/frac(hi) and the new hi is 1/frac(lo)
+        a, b, c, e = e, rest_hi, b, rest_lo
     return quotients
 
 
@@ -91,61 +92,46 @@ def measure_exponents(
 ) -> tuple[list[ConvergentRecord], float | None]:
     """Fill exponent = -log|x - p/q| / log q for each convergent with q >= 2.
 
-    The enclosure must separate every p/q with relative width below 1;
-    otherwise the measurement is meaningless and PrecisionExhaustedError
-    asks the caller for a finer enclosure.  Also returns the running
-    maximum exponent.
+    The enclosure must separate every p/q with relative width below 1
+    (arith.neg_log_gaps); otherwise the measurement is meaningless and
+    PrecisionExhaustedError asks the caller for a finer enclosure.  Also
+    returns the maximum exponent.
     """
-    out = []
-    best: float | None = None
-    for rec in records:
-        if rec.q < 2:
-            out.append(replace(rec, exponent=None))
-            continue
-        target = Fraction(rec.p, rec.q)
-        if x.lo < target < x.hi:
-            raise PrecisionExhaustedError(
-                f"enclosure does not separate convergent {rec.p}/{rec.q}"
-            )
-        gap = x.abs_distance_to(target)
-        if not gap.width < gap.lo:
-            raise PrecisionExhaustedError(
-                f"gap enclosure too wide at convergent {rec.p}/{rec.q}"
-            )
-        exponent = -log_rational(gap.midpoint) / math.log(rec.q)
-        best = exponent if best is None else max(best, exponent)
-        out.append(replace(rec, exponent=exponent))
-    return out, best
+    pairs = [(r.p, r.q) for r in records if r.q >= 2]
+    neg_logs = neg_log_gaps(x, pairs)
+    if None in neg_logs:
+        p, q = pairs[neg_logs.index(None)]
+        raise PrecisionExhaustedError(f"enclosure does not resolve the gap to convergent {p}/{q}")
+    it = iter(neg_logs)
+    out = [replace(r, exponent=next(it) / math.log(r.q) if r.q >= 2 else None) for r in records]
+    return out, max((r.exponent for r in out if r.exponent is not None), default=None)
 
 
 def zeta2_exponent_report(
-    max_q: int, digits: int = 60, max_terms: int = 200
+    max_q: int, digits: int = 60
 ) -> tuple[list[ConvergentRecord], float | None]:
     """Measured exponents for all zeta(2) convergents with q <= max_q.
 
-    Doubles the working digits (up to the configured cap) until every
-    convergent is separated, re-deriving quotients at each refinement;
-    emitted prefixes are stable under refinement, so records only extend.
+    q_k >= phi^(k-1), so floor(log_phi max_q) + 3 quotients reach past max_q
+    (1441/1000 > log_phi 2).  Doubles the working digits (up to the
+    configured cap) until every convergent is separated, re-deriving
+    quotients at each refinement; emitted prefixes are stable under
+    refinement, so records only extend.
     """
-    if digits < 1:
-        raise DomainError(f"digits must be >= 1, got {digits}")
-    d = digits
-    cap = config.digit_cap()
-    while True:
+    ladder = digit_ladder(digits)
+    terms = max(max_q, 1).bit_length() * 1441 // 1000 + 3
+    for d in ladder:
         enc = zeta2_enclosure(d)
-        all_records = convergents(continued_fraction(enc, max_terms))
+        all_records = convergents(continued_fraction(enc, terms))
         # The prefix provably covers max_q only once it reaches past it.
         if all_records[-1].q > max_q:
-            records = [r for r in all_records if r.q <= max_q]
             try:
-                return measure_exponents(enc, records)
+                return measure_exponents(enc, [r for r in all_records if r.q <= max_q])
             except PrecisionExhaustedError:
                 pass
-        if d >= cap:
-            raise PrecisionExhaustedError(
-                f"convergents up to q <= {max_q} not resolvable within {cap} digits"
-            )
-        d = min(2 * d, cap)
+    raise PrecisionExhaustedError(
+        f"convergents up to q <= {max_q} not resolvable within {ladder[-1]} digits"
+    )
 
 
 @dataclass(frozen=True)

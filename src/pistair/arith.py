@@ -83,10 +83,6 @@ class RealEnclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, r) -> bool:
-        r = as_rational(r)
-        return self.lo <= r <= self.hi
-
     def contains_enclosure(self, other: "RealEnclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -105,6 +101,27 @@ class RealEnclosure:
         raise DomainError(
             "rational lies inside the enclosure; refine the enclosure first"
         )
+
+
+def neg_log_gaps(x: RealEnclosure, pairs) -> list[float | None]:
+    """-ln of the midpoint of the enclosure of |x - p/q| for each (p, q), q > 0.
+
+    None where p/q is not strictly outside x or the gap enclosure's width is
+    not below its lower end.  Over D = lcm of the endpoint denominators the
+    gap is [near/(Dq), far/(Dq)] for integers near, far; its midpoint takes
+    one gcd and equals abs_distance_to(p/q).midpoint, so the logs agree.
+    """
+    D = math.lcm(x.lo.denominator, x.hi.denominator)
+    lo = x.lo.numerator * (D // x.lo.denominator)
+    hi = x.hi.numerator * (D // x.hi.denominator)
+    out: list[float | None] = []
+    for p, q in pairs:
+        near, far = lo * q - p * D, hi * q - p * D
+        if near <= 0:  # p/q is not below lo, so measure it from above hi
+            near, far = -far, -near
+        separated = near > 0 and far < 2 * near
+        out.append(-log_rational(Fraction(near + far, 2 * D * q)) if separated else None)
+    return out
 
 
 def enclosure_compare(x: RealEnclosure, r) -> Placement:
@@ -178,6 +195,16 @@ def zeta2_enclosure(digits: int) -> RealEnclosure:
             f"(raise {config.ENV_DIGIT_CAP} to override)"
         )
     return _zeta2_cached(digits)
+
+
+def digit_ladder(digits: int) -> list[int]:
+    """Working digits for refining an enclosure: digits, doubled up to the cap."""
+    if digits < 1:
+        raise DomainError(f"digits must be >= 1, got {digits}")
+    ladder, cap = [digits], config.digit_cap()
+    while ladder[-1] < cap:
+        ladder.append(min(2 * ladder[-1], cap))
+    return ladder
 
 
 @lru_cache(maxsize=64)

@@ -16,11 +16,7 @@ from functools import lru_cache
 
 from . import config
 from .arith import (
-    RealEnclosure,
-    as_rational,
-    log_rational,
-    rational_exp_upper,
-    zeta2_enclosure,
+    RealEnclosure, as_rational, digit_ladder, neg_log_gaps, rational_exp_upper, zeta2_enclosure,
 )
 from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
 from .primes import PrimeTable, prime_count
@@ -143,23 +139,13 @@ def approximation_gap(t: PrimeTable, N: int, digits: int) -> GapReport:
     The digit count doubles internally (up to the configured cap) until the
     enclosure separates p_N/q_N from zeta(2) with relative width below 1.
     """
-    if digits < 1:
-        raise DomainError(f"digits must be >= 1, got {digits}")
+    ladder = digit_ladder(digits)
     value = euler_product(t, N).value
     q = value.denominator
-    d = digits
-    cap = config.digit_cap()
-    while True:
+    for d in ladder:
         z = zeta2_enclosure(d)
-        if value < z.lo:
-            gap = z.abs_distance_to(value)
-            if gap.width < gap.lo:
-                exponent = None
-                if q >= 2:
-                    exponent = -log_rational(gap.midpoint) / math.log(q)
-                return GapReport(N, value, q, gap, exponent, d)
-        if d >= cap:
-            raise PrecisionExhaustedError(
-                f"gap at N={N} not separated from 0 within {cap} digits"
-            )
-        d = min(2 * d, cap)
+        [neg_log] = neg_log_gaps(z, [(value.numerator, q)])
+        if neg_log is not None:
+            exponent = neg_log / math.log(q) if q >= 2 else None
+            return GapReport(N, value, q, z.abs_distance_to(value), exponent, d)
+    raise PrecisionExhaustedError(f"gap at N={N} not separated from 0 within {ladder[-1]} digits")

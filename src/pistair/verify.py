@@ -131,7 +131,7 @@ def lcm_matches_fold(n_max: int):
         fold = math.lcm(fold, n)
         _require(lcm_to(t, n) == fold, "lcm_to(%d) differs from the fold-lcm", n)
 
-@_check("primes", "log d_n <= pi(n) log n at decade marks", 10_000)
+@_check("primes", "log d_n <= pi(n) log n at every n to 10^4", 10_000)
 def log_lcm_bound(n_max: int):
     """log d_n <= pi(n) log n at every 2 <= n <= n_max; log d_n ~ n at n_max."""
     t = sieve(n_max)

@@ -17,6 +17,7 @@ from pistair import (
     convergents,
     lemma4_bound,
     lemma4_derivation,
+    log_rational,
     measure_exponents,
     sieve,
     sondow_inequality_check,
@@ -78,6 +79,60 @@ class TestContinuedFraction:
             oracle.append(a)
             x = 1 / (x - a)
         assert continued_fraction(zeta2_enclosure(60), 25) == oracle
+
+
+def reference_continued_fraction(x, max_terms):
+    """The Gauss map on both endpoints in Fraction arithmetic."""
+    lo, hi = x.lo, x.hi
+    quotients = []
+    while len(quotients) < max_terms:
+        a_lo, a_hi = math.floor(lo), math.floor(hi)
+        if a_lo != a_hi:
+            break
+        quotients.append(a_lo)
+        if lo == a_lo or hi == a_hi:
+            break
+        lo, hi = 1 / (hi - a_hi), 1 / (lo - a_lo)
+    return quotients
+
+
+def cf_value(quotients):
+    value = Fraction(quotients[-1])
+    for a in reversed(quotients[:-1]):
+        value = a + 1 / value
+    return value
+
+
+@st.composite
+def positive_enclosures(draw):
+    """Random positive enclosures, exact rationals, and pairs that share a
+    quotient prefix where one endpoint terminates mid-expansion."""
+    kind = draw(st.sampled_from(["random", "exact", "prefix"]))
+    if kind == "prefix":
+        head = draw(st.lists(st.integers(1, 10**3), min_size=1, max_size=30))
+        tail = draw(st.lists(st.integers(1, 10**3), min_size=1, max_size=30))
+        lo, hi = sorted([cf_value(head), cf_value(head + tail)])
+        return RealEnclosure(lo, hi)
+    lo = Fraction(draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40)))
+    if kind == "exact":
+        return RealEnclosure(lo, lo)
+    width = Fraction(draw(st.integers(1, 10**6)), 10 ** draw(st.integers(0, 40)))
+    return RealEnclosure(lo, lo + width)
+
+
+class TestIntegerGaussMap:
+    @given(positive_enclosures(), st.integers(1, 80))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_gauss_map(self, x, max_terms):
+        assert continued_fraction(x, max_terms) == reference_continued_fraction(x, max_terms)
+
+    @pytest.mark.parametrize("digits", [60, 700, 2100])
+    def test_zeta2_matches_fraction_gauss_map(self, digits):
+        enc = zeta2_enclosure(digits)
+        got = continued_fraction(enc, 20000)
+        assert got == reference_continued_fraction(enc, 20000)
+        # the prefix ends where the endpoints disagree, near 0.97 quotients per digit
+        assert 0.9 * digits < len(got) < 20000
 
 
 class TestConvergents:
@@ -160,6 +215,19 @@ class TestMeasureExponents:
         with pytest.raises(DomainError, match="digits must be >= 1"):
             zeta2_exponent_report(100, digits=digits)
 
+    def test_huge_max_q_matches_fraction_reference(self):
+        # 594 convergents lie below 10^300, so the report needs far more
+        # than 200 partial quotients
+        max_q = 10**300
+        records, best = zeta2_exponent_report(max_q)
+        kept, exponents = reference_exponent_report(max_q)
+        assert len(records) == len(kept) == 594
+        assert [(r.index, r.partial_quotient, r.p, r.q) for r in records] == [
+            (r.index, r.partial_quotient, r.p, r.q) for r in kept
+        ]
+        assert [r.exponent for r in records] == exponents
+        assert best == max(e for e in exponents if e is not None)
+
     def test_unseparated_raises(self):
         enc = zeta2_enclosure(10)
         mid = enc.midpoint
@@ -167,6 +235,30 @@ class TestMeasureExponents:
         wide = RealEnclosure(mid - Fraction(1, 10), mid + Fraction(1, 10))
         with pytest.raises(PrecisionExhaustedError):
             measure_exponents(wide, fake)
+
+
+def reference_exponent_report(max_q, digits=60):
+    """The digit-doubling loop on the Fraction Gauss map and Fraction gaps."""
+    while True:
+        enc = zeta2_enclosure(digits)
+        records = convergents(reference_continued_fraction(enc, 20000))
+        if records[-1].q > max_q:
+            kept = [r for r in records if r.q <= max_q]
+            exponents = []
+            for r in kept:
+                target = Fraction(r.p, r.q)
+                if r.q < 2:
+                    exponents.append(None)
+                    continue
+                if enc.lo < target < enc.hi:
+                    break
+                gap = enc.abs_distance_to(target)
+                if not gap.width < gap.lo:
+                    break
+                exponents.append(-log_rational(gap.midpoint) / math.log(r.q))
+            else:
+                return kept, exponents
+        digits *= 2
 
 
 class TestLemma4:

@@ -13,11 +13,12 @@ from pistair import (
     as_rational,
     enclosure_compare,
     exp_taylor_enclosure,
+    log_rational,
     rational_exp_upper,
     rational_str,
     zeta2_enclosure,
 )
-from pistair.arith import _arctan_recip_scaled
+from pistair.arith import _arctan_recip_scaled, digit_ladder, neg_log_gaps
 
 
 def partial_sum(n):
@@ -61,6 +62,87 @@ class TestEnclosureCompare:
     def test_overlapping(self):
         enc = RealEnclosure(Fraction(3, 2), Fraction(5, 3))
         assert enclosure_compare(enc, Fraction(8, 5)) is Placement.OVERLAPPING
+
+
+def reference_neg_log_gap(x, r):
+    """The Fraction path: abs_distance_to, width < lo, -log_rational(midpoint)."""
+    if x.lo < r < x.hi:
+        return None
+    gap = x.abs_distance_to(r)
+    if not gap.width < gap.lo:
+        return None
+    return -log_rational(gap.midpoint)
+
+
+def rationals(max_value=10**12):
+    return st.builds(
+        Fraction, st.integers(-max_value, max_value), st.integers(1, max_value)
+    )
+
+
+@st.composite
+def enclosures_and_targets(draw):
+    """An enclosure (lo == hi one time in four) and rationals around it:
+    below, above, on either endpoint and inside, at gaps from tiny to huge."""
+    lo = draw(rationals())
+    exact = draw(st.integers(0, 3)) == 0
+    hi = lo if exact else lo + abs(draw(rationals())) + Fraction(1, 10**40)
+    x = RealEnclosure(lo, hi)
+    offsets = st.builds(
+        lambda r, k: abs(r) * Fraction(10) ** k + Fraction(1, 10**50),
+        rationals(10**6),
+        st.integers(-30, 30),
+    )
+    targets = [lo, hi, (lo + hi) / 2]
+    targets += [lo - d for d in draw(st.lists(offsets, min_size=1, max_size=4))]
+    targets += [hi + d for d in draw(st.lists(offsets, min_size=1, max_size=4))]
+    return x, targets
+
+
+class TestNegLogGaps:
+    @given(enclosures_and_targets(), st.integers(1, 5))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_path(self, case, scale):
+        x, targets = case
+        # p/q need not be in lowest terms
+        pairs = [(scale * r.numerator, scale * r.denominator) for r in targets]
+        assert neg_log_gaps(x, pairs) == [reference_neg_log_gap(x, r) for r in targets]
+
+    @pytest.mark.parametrize("digits", [30, 700])
+    def test_euler_like_targets_on_zeta2(self, digits):
+        enc = zeta2_enclosure(digits)
+        targets = [Fraction(3, 2), Fraction(5, 3), Fraction(1225, 768), enc.lo, enc.hi]
+        targets += [enc.lo - Fraction(1, 10**k) for k in range(1, digits + 30, 7)]
+        got = neg_log_gaps(enc, [r.as_integer_ratio() for r in targets])
+        want = [reference_neg_log_gap(enc, r) for r in targets]
+        assert got == want
+        for g, r in zip(got[:3], targets[:3]):
+            assert g == pytest.approx(-math.log(abs(float(r) - math.pi**2 / 6)), rel=1e-12)
+        # the offsets run from separated gaps to ones narrower than the enclosure
+        assert None in want[5:] and any(w is not None for w in want[5:])
+
+    def test_inside_and_endpoints_refused(self):
+        enc = RealEnclosure(Fraction(3, 2), Fraction(5, 3))
+        assert neg_log_gaps(enc, [(8, 5), (3, 2), (5, 3)]) == [None, None, None]
+        # 0 is separated by 3/2 against a width of 1/6
+        assert neg_log_gaps(enc, [(0, 1)]) == [-log_rational(Fraction(19, 12))]
+        # a gap enclosure as wide as its lower end is refused on either side
+        unit = RealEnclosure(Fraction(1), Fraction(2))
+        got = neg_log_gaps(unit, [(0, 1), (3, 1), (-1, 1)])
+        assert got == [None, None, -log_rational(Fraction(5, 2))]
+
+
+class TestDigitLadder:
+    def test_doubles_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setenv("PISTAIR_DIGIT_CAP", "1000")
+        assert digit_ladder(60) == [60, 120, 240, 480, 960, 1000]
+        assert digit_ladder(1000) == [1000]
+        assert digit_ladder(2000) == [2000]
+
+    @pytest.mark.parametrize("digits", [0, -3])
+    def test_nonpositive_refused(self, digits):
+        with pytest.raises(DomainError, match="digits must be >= 1"):
+            digit_ladder(digits)
 
 
 class TestZeta2Enclosure:

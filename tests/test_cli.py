@@ -238,6 +238,15 @@ class TestDispatch:
             r["exponent"] > 2 for r in records[:-1] if int(r["q"]) >= 2
         )
 
+    def test_exponents_past_200_quotients(self, capsys):
+        # proving that the 200 convergents below 10^99 are all of them takes
+        # a 201st partial quotient, so the quotient count must follow max_q
+        code, out, _ = run(capsys, "exponents", "--max-q", str(10**99))
+        assert code == 0
+        records = json_lines(out)
+        assert records[-1]["convergents"] == len(records) - 1 == 200
+        assert int(records[-2]["q"]) <= 10**99
+
     def test_dn(self, capsys):
         code, out, _ = run(capsys, "dn", "--n", "10")
         assert code == 0
