@@ -33,8 +33,8 @@ FACTORED_FROM = 400
 
 
 @lru_cache(maxsize=1)
-def _product(t: PrimeTable, n_primes: int) -> tuple[Fraction, int]:
-    """p_N/q_N and prod (p^2 - 1) over the first n_primes primes of t.
+def _product(t: PrimeTable, n_primes: int) -> Fraction:
+    """p_N/q_N over the first n_primes primes of t.
 
     Below FACTORED_FROM primes this is Fraction(prod p^2, prod (p^2 - 1)),
     flat products reduced by one gcd.  From there on the product is built
@@ -46,11 +46,10 @@ def _product(t: PrimeTable, n_primes: int) -> tuple[Fraction, int]:
 
     Both are positive, and no prime divides both, since at most one of
     max(0, d_r) and max(0, -d_r) is positive: gcd(p_N, q_N) = 1.  So the
-    Fraction is made by _coprime_fraction, with no gcd, and
-    prod (p^2 - 1) = q_N prod_{r <= N} r^min(e_r, 2) with no division.  The
-    products go by product trees (_power_product), which is what makes
-    large N fast: at N = 10^5 (9592 primes) the flat route took 0.31 to
-    0.52 s, this one 0.03 to 0.05 s; at N = 10^6, 38 s against 1.3 s.
+    Fraction is made by _coprime_fraction, with no gcd.  The products go
+    by product trees (_power_product), which is what makes large N fast: at
+    N = 10^5 (9592 primes) the flat route took 0.31 to 0.52 s, this one
+    0.03 to 0.05 s; at N = 10^6, 38 s against 1.3 s.
 
     The crossover was timed on Python 3.11, 2-core Xeon, best of 9, in
     runs that differed by up to 30%: at 10 primes 0.005 ms flat against
@@ -62,13 +61,10 @@ def _product(t: PrimeTable, n_primes: int) -> tuple[Fraction, int]:
     ps = t.primes[:n_primes]
     if n_primes < FACTORED_FROM:
         ps = ps.tolist()
-        den = math.prod(p * p - 1 for p in ps)
-        return Fraction(math.prod(p * p for p in ps), den), den
-    e = _p2_minus_1_exponents(ps)
-    d = 2 - e
-    num = _power_product(ps, np.maximum(d, 0))
-    den = _power_product(ps, np.maximum(-d, 0))
-    return _coprime_fraction(num, den), den * _power_product(ps, np.minimum(e, 2))
+        return Fraction(math.prod(p * p for p in ps), math.prod(p * p - 1 for p in ps))
+    d = 2 - _p2_minus_1_exponents(ps)
+    num, den = _power_product(ps, np.maximum(d, 0)), _power_product(ps, np.maximum(-d, 0))
+    return _coprime_fraction(num, den)
 
 
 def _p2_minus_1_exponents(ps: np.ndarray) -> np.ndarray:
@@ -165,7 +161,7 @@ def euler_product(t: PrimeTable, N: int) -> EulerApproximation:
         raise RangeError(f"N must be >= 1, got {N}")
     if N > t.limit:
         raise RangeError(f"Euler product to {N} needs a sieve beyond {t.limit}")
-    return EulerApproximation(N, _product(t, prime_count(t, N))[0])
+    return EulerApproximation(N, _product(t, prime_count(t, N)))
 
 
 @dataclass(frozen=True)
@@ -195,8 +191,8 @@ def qn_bound_report(t: PrimeTable, N: int) -> QnBoundReport:
             f"(raise {config.ENV_FACTORIAL_CAP} to override)"
         )
     k = prime_count(t, N)
-    value, prod = _product(t, k)
-    q = value.denominator
+    q = _product(t, k).denominator
+    prod = product_tree([p * p - 1 for p in t.primes[:k].tolist()])
     n_pow = N ** (2 * k)
     fact_sq = math.factorial(N) ** 2
     return QnBoundReport(

@@ -7,9 +7,9 @@ checkers (the factorial gate, the exp((log x)^e) sequence, the
 a_{n+1} = a_n + log a_n sequence), the staircase certifier, and the
 classic 2^2^k baseline.
 
-Tower comparisons and the logarithmic staircase witnesses inherit float
-precision: two towers whose values agree to within one ulp of the
-top-level mantissa compare as equal.
+Tower comparisons inherit float precision: two towers whose values agree
+to within one ulp of the top-level mantissa compare as equal.  Logarithmic
+staircase ends are rounded up instead, into proven upper bounds (_step).
 """
 
 from __future__ import annotations
@@ -190,14 +190,6 @@ def power_tower(base: float, height: int) -> LogTower:
     for _ in range(height - 1):
         t = tower_exp(tower_mul(t, ln_base))
     return t
-
-
-def _tower_minus_one(x: LogTower) -> LogTower:
-    # x - 1 for x > 1; beyond float range the unit is below one ulp
-    f = tower_to_float(x)
-    if f is not None:
-        return tower_from_float(f - 1.0)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +411,9 @@ Q_MODES = ("factorial-squared", "power-2piN", "assumed-g")
 class StaircaseStep:
     """One certified interval (start, end] of the staircase.
 
-    Exact steps carry re-checkable integers; logarithmic steps carry
-    natural-log values (and the end tower), used once exact witnesses
-    would blow the big-integer budget.
+    Exact steps carry re-checkable integers.  Logarithmic steps, used once
+    exact witnesses would blow the big-integer budget, carry proven upper
+    bounds: the end tower and, while they fit a float, ln_q_bound and ln_end.
     """
 
     index: int
@@ -462,116 +454,133 @@ def default_exponent(b: float) -> int:
     return math.floor(b) + 1
 
 
-def _ln_q_bound_int(t: PrimeTable, n: int, q_mode: str, g) -> tuple[float | None, str | None]:
-    """(ln Q(n), None) for an integer start, or (None, reason) if unavailable."""
-    if q_mode == "factorial-squared":
-        if n <= 10**15:
-            return 2 * math.lgamma(n + 1), None
-        # Stirling's main term; relative error ~ log n / (n log n)
-        ln_n = math.log(n)
-        return 2 * n * (ln_n - 1), None
-    if q_mode == "power-2piN":
-        if n > t.limit:
-            return None, f"pi({n}) unknown beyond the sieve limit {t.limit}"
-        return 2 * prime_count(t, n) * math.log(n), None
-    q_bound = g(n)
-    if not isinstance(q_bound, int) or q_bound < 1:
-        raise DomainError("assumed-g must return a positive integer bound")
-    return math.log(q_bound), None
+def _up(x: float) -> float:
+    """x moved up by two ulps, after a rounded operation whose result must not fall.
+
+    +, -, * and / round to nearest (half an ulp), and the glibc manual's
+    x86-64 table lists at most one ulp for log and exp: two ulps cover one
+    of these, or two roundings to nearest in a row."""
+    return math.nextafter(math.nextafter(x, math.inf), math.inf)
 
 
-def _step_from_int(
-    t: PrimeTable, index: int, n: int, m: int, q_mode: str, g, budget: int, q_cap: int
-):
-    ln_q, reason = _ln_q_bound_int(t, n, q_mode, g)
-    if reason is not None:
-        return None, reason
-    est_digits = (m * ln_q + LN10) / LN10
-    if est_digits <= budget:
+def _ln_upper(n: int) -> float:
+    """An upper bound on ln n for an integer n >= 1 of any size."""
+    s = max(n.bit_length() - 53, 0)
+    top = (n >> s) + (s > 0)  # at least n / 2^s and at most 2^53: an exact float
+    return _up(_up(math.log(top)) + _up(s * _up(LN2)))
+
+
+def _log_bounds(t: PrimeTable, n: int, m: int, q_mode: str, g) -> tuple[float, float]:
+    """Upper bounds on ln Q(n) and on ln(10 Q(n)^m + 1), for an integer n >= 2.
+
+    power-2piN bounds ln Q = 2 pi(n) ln n and assumed-g ln Q = ln g(n).
+    factorial-squared takes Robbins's bound ln n! < n ln n - n + ln(2 pi n)/2
+    + 1/(12 n), n >= 1 (H. Robbins, "A remark on Stirling's formula", Amer.
+    Math. Monthly 62, 1955), with n between the floats next to float(n); from
+    n = 2^1000 on, where 2 n ln n nears the float range, both bounds are inf.
+    With u >= ln(10 Q^m) from these, ln(10 Q^m + 1) <= u + 1/(10 Q^m) <=
+    u + e^(-u/2), since u overshoots ln(10 Q^m) >= ln 10 by far less than 2x.
+    """
+    if q_mode == "assumed-g":
+        q_bound = g(n)
+        if not isinstance(q_bound, int) or q_bound < 1:
+            raise DomainError("assumed-g must return a positive integer bound")
+        ln_q = _ln_upper(q_bound)
+    elif q_mode == "power-2piN":
+        ln_q = _up(2 * prime_count(t, n) * _ln_upper(n))
+    elif n.bit_length() > 1000:
+        return math.inf, math.inf
+    else:
+        x = float(n)  # rounded to nearest
+        lo, hi = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
+        ln_q = _up(
+            _up(_up(2 * hi * _ln_upper(n)) - 2 * lo)
+            + _up(math.log(_up(math.tau * hi)))
+            + _up(1 / (6 * lo))
+        )
+    u = _up(_up(m * ln_q) + _up(LN10))
+    return ln_q, _up(u + math.exp(-u / 2))
+
+
+def _tower_up(level: int, r: float) -> LogTower:
+    """A normalized tower at least exp^level(r), for a finite r >= 1:
+    tower_normalize with each log rounded up, which keeps the mantissa >= 1."""
+    while r >= math.e:
+        r = _up(math.log(r))
+        level += 1
+    return LogTower(level, r)
+
+
+def _step(t: PrimeTable, index: int, start: "int | LogTower", m: int, q_mode: str, g,
+          budget: int, q_cap: int) -> tuple[StaircaseStep | None, str | None]:
+    """(the step from start, None), or (None, why there is none).
+
+    The step is exact while 10 Q^m + 1, Q = Q(start), fits the digit budget
+    by the bound of _log_bounds.  Otherwise its end is a tower at least
+    10 Q^m + 1, as every float on the way is rounded up (_up):
+
+    - while ln(10 Q^m + 1) has a float bound ln_end, the end is (1, ln_end);
+    - else, for factorial-squared while ln N has one (ints from 2^1000,
+      towers to about level 4), ln ln end <= ln(2m) + ln N + ln ln N:
+      Robbins's bound, increasing in N and so also for a real N, gives
+      ln(10 Q^m + 1) < 2mN ln N + m (ln(2 pi N) + 1/(6N) - 2N) + ln 10 +
+      1/640, and for N >= 2, m >= 3 the middle term is <= -1.38 m < -ln 11;
+    - beyond that ln N > 2^1020 (a float bound overflowed), and the end is
+      the start one level up with the next float as mantissa.  With x_k the
+      k-th iterated log of N, ln^(k+1) end < x_k + d_k, d_1 = ln(2m) + x_2
+      < 711 + x_2 and d_(k+1) = d_k / x_k, as ln(x + d) <= ln x + d/x; so
+      d_2 < 2^-1000, and as every x_k >= 1 the top mantissa grows by less
+      than that, below one ulp.  Int starts never get here: their ln fits.
+    """
+    q = q_bound = witness_ok = sieve_confirmed = prime_witness = None
+    ln_q = ln_end = math.inf
+    if isinstance(start, int):
+        if q_mode == "power-2piN" and start > t.limit:
+            return None, f"pi({start}) unknown beyond the sieve limit {t.limit}"
+        ln_q, ln_end = _log_bounds(t, start, m, q_mode, g)
+    if ln_end <= budget * LN10:
         if q_mode == "factorial-squared":
-            q_bound = math.factorial(n) ** 2
+            q_bound = math.factorial(start) ** 2
         elif q_mode == "power-2piN":
-            q_bound = n ** (2 * prime_count(t, n))
+            q_bound = start ** (2 * prime_count(t, start))
         else:
-            q_bound = g(n)
+            q_bound = g(start)
         end = 10 * q_bound**m + 1
-        q = None
-        witness_ok = None
-        if n <= min(t.limit, q_cap):
-            q = euler_product(t, n).value.denominator
+        ln_q, ln_end = math.log(q_bound), math.log(end)
+        if start <= min(t.limit, q_cap):
+            q = euler_product(t, start).value.denominator
             witness_ok = 10 * q**m < end
-        sieve_confirmed = None
-        prime_witness = None
         if end <= t.limit:
-            lo_count = prime_count(t, n)
-            hi_count = prime_count(t, end)
-            sieve_confirmed = hi_count > lo_count
+            lo_count = prime_count(t, start)
+            sieve_confirmed = prime_count(t, end) > lo_count
             if sieve_confirmed:
                 prime_witness = int(t.primes[lo_count])
-        return (
-            StaircaseStep(
-                index=index,
-                start=n,
-                end=end,
-                witness_mode="exact",
-                q=q,
-                q_bound=q_bound,
-                witness_ok=witness_ok,
-                ln_q_bound=ln_q,
-                ln_end=math.log(end),
-                sieve_confirmed=sieve_confirmed,
-                prime_witness=prime_witness,
-            ),
-            None,
-        )
-    ln_end = m * ln_q + LN10
-    end_tower = tower_normalize(1, ln_end)
-    return (
-        StaircaseStep(
-            index=index,
-            start=n,
-            end=end_tower,
-            witness_mode="logarithmic",
-            q=None,
-            q_bound=None,
-            witness_ok=None,
-            ln_q_bound=ln_q,
-            ln_end=ln_end,
-            sieve_confirmed=None,
-            prime_witness=None,
-        ),
-        None,
-    )
-
-
-def _step_from_tower(t: PrimeTable, index: int, x: LogTower, m: int, q_mode: str):
-    if q_mode == "power-2piN":
+    elif ln_end < math.inf:
+        end = _tower_up(1, ln_end)
+    elif q_mode == "power-2piN":
         return None, "pi(N) unknown at tower scale"
-    if q_mode == "assumed-g":
+    elif q_mode == "assumed-g":
         return None, "assumed bound not evaluable at tower scale"
-    # ln Q = 2 ln(N!) ~ 2 N (ln N - 1), Stirling's main term
-    ln_q_tower = tower_mul(
-        tower_from_float(2.0), tower_mul(x, _tower_minus_one(tower_ln(x)))
+    else:
+        ln_q = ln_end = None
+        if isinstance(start, int):
+            ln_n = _ln_upper(start)
+        else:
+            ln_n = start.mantissa
+            for _ in range(start.level - 1):
+                ln_n = _up(math.exp(ln_n)) if ln_n <= MAX_EXP_ARG else math.inf
+        lnln_end = _up(_up(_ln_upper(2 * m) + ln_n) + _up(math.log(ln_n)))
+        if lnln_end < math.inf:
+            end = _tower_up(2, lnln_end)
+        else:
+            end = _tower_up(start.level + 1, math.nextafter(start.mantissa, math.inf))
+    step = StaircaseStep(
+        index=index, start=start, end=end,
+        witness_mode="logarithmic" if q_bound is None else "exact",
+        q=q, q_bound=q_bound, witness_ok=witness_ok, ln_q_bound=ln_q, ln_end=ln_end,
+        sieve_confirmed=sieve_confirmed, prime_witness=prime_witness,
     )
-    ln_end_tower = tower_add(
-        tower_mul(tower_from_float(float(m)), ln_q_tower), tower_from_float(LN10)
-    )
-    return (
-        StaircaseStep(
-            index=index,
-            start=x,
-            end=tower_exp(ln_end_tower),
-            witness_mode="logarithmic",
-            q=None,
-            q_bound=None,
-            witness_ok=None,
-            ln_q_bound=tower_to_float(ln_q_tower),
-            ln_end=tower_to_float(ln_end_tower),
-            sieve_confirmed=None,
-            prime_witness=None,
-        ),
-        None,
-    )
+    return step, None
 
 
 def staircase_certify(
@@ -589,8 +598,8 @@ def staircase_certify(
     Under the hypothesis that the measure bound b holds (with m > b) and
     that Q really bounds q_N, each interval must contain a prime; steps
     inside the sieve range are confirmed unconditionally.  Witnesses are
-    exact integers while they fit the big-integer budget and natural-log
-    values beyond it.
+    exact integers while they fit the big-integer budget and, beyond it,
+    upper bounds in log and tower form (see _step).
     """
     if q_mode not in Q_MODES:
         raise DomainError(f"q_mode must be one of {Q_MODES}, got {q_mode!r}")
@@ -611,12 +620,11 @@ def staircase_certify(
         raise RangeError(f"steps must be >= 1, got {steps}")
     if q_mode == "assumed-g" and g is None:
         raise DomainError("assumed-g mode needs the bound function g")
-    ln_q_start, _ = _ln_q_bound_int(t, N_start, q_mode, g)
     try:
-        ln_end_start = m * ln_q_start
+        ln_end_start = _log_bounds(t, N_start, m, q_mode, g)[1]
     except OverflowError:  # m itself is beyond the float range
         ln_end_start = math.inf
-    if not math.isfinite(ln_end_start):
+    if ln_end_start == math.inf:
         raise DomainError(
             f"m ln Q({N_start}) overflows a float: measure bound b={b}, "
             f"exponent m ~ 10^{math.log10(m):.1f}"
@@ -628,18 +636,7 @@ def staircase_certify(
     truncated = None
     current: "int | LogTower" = N_start
     for index in range(steps):
-        if isinstance(current, int):
-            if current.bit_length() > 996 and q_mode == "factorial-squared":
-                # mixed int/float arithmetic on ints this large overflows
-                step, truncated = _step_from_tower(
-                    t, index, tower_from_int(current), m, q_mode
-                )
-            else:
-                step, truncated = _step_from_int(
-                    t, index, current, m, q_mode, g, budget, q_cap
-                )
-        else:
-            step, truncated = _step_from_tower(t, index, current, m, q_mode)
+        step, truncated = _step(t, index, current, m, q_mode, g, budget, q_cap)
         if step is None:
             break
         chain.append(step)

@@ -677,9 +677,10 @@ class TestRefusals:
     @pytest.mark.parametrize(
         "mode, digest",
         [
-            ("factorial-squared", "2bf44abaadd0672b976d47b9e90d9229d458b1d0ce22771f37de690577ac392d"),
-            ("power-2piN", "71729aad05664926992718001a74218890193d7944b01cb17d31e863186965d2"),
+            ("factorial-squared", "671be96560d7ffd46c49e4019db74bef952c0c5701c2504ac53ddb9d9203dc9e"),
+            ("power-2piN", "e0d74a932f779a63a0603b861109b7c565591d1672cbe9d57f5abfe6e5706879"),
         ],
+        ids=["factorial-squared", "power-2piN"],
     )
     def test_largest_finite_exponent_keeps_its_bytes(self, capsys, mode, digest):
         # m ln Q(2) = 1.386e308 is still a float; the refusal leaves this run alone
@@ -687,6 +688,15 @@ class TestRefusals:
         code, out, _ = run(capsys, "staircase", "--mode", mode, *args)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_refusal_uses_the_bound_on_ln_q(self, capsys):
+        # m ln 4 = 1.7973e308 is a float, Robbins's bound m ln Q(2) ~ 1.7981e308 is not
+        args = ("--b", "1.2965e308", "--start", "2", "--steps", "1")
+        code, out, err = run(capsys, "staircase", "--mode", "factorial-squared", *args)
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "DomainError"
+        assert "measure bound b=1.2965e+308, exponent m ~ 10^308.1" in record["reason"]
 
     @pytest.mark.parametrize(
         "args",

@@ -29,7 +29,7 @@ GOLDEN = {
     "theorem1 --N 20": "70eca1e5ca477b6106252599463f98f07274ca7b6febaed312ef0e3f9ffccd9f",
     "theorem2 --n 10": "77f8f3ca49eea11c3ec03305d47b1023202de6ea90a4d65886acf8a92fa51a80",
     "theorem3 --n 1000000 --sieve": "cde62ab2583dbb838f27880cd9520061666ad445e9d01b6a154e25c49b563850",
-    "staircase --mode factorial-squared --b 5.45 --m 6 --start 2 --steps 4": "249d68be76c4b7690ecf1b43fb606393efa4e1d566354e5a51897501e29f964e",
+    "staircase --mode factorial-squared --b 5.45 --m 6 --start 2 --steps 4": "38fbda7dcece3320da86b73a500c2c6f20f163ac180c10963e309dc69e5c271e",
     "lemma4 --mode raw": "e1a3e4561991d8d42f13db9ba8194fb758e0880b01d4564b67b2a6576e6be82e",
     "sondow --n 15 --mu 5.45": "51046e05819e0fa85ee596400e44ed632b11f0b6e02e69ee98658946e60324e0",
     "euclid --level 2 --mantissa 1.0": "7f19177a5a7a027ee5f51d792c1160c870cc2dfb58dec7eccd6d34eebfa44215",

@@ -31,6 +31,7 @@ from pistair import (
     tower_normalize,
     tower_to_float,
 )
+from pistair import staircase
 from pistair.primes import nth_prime
 from pistair.staircase import (
     THEOREM3_CHUNK,
@@ -307,6 +308,10 @@ def gap_recursion_stepwise(n_max, t=None, checkpoints=()):
     )
 
 
+def as_tower(v):
+    return tower_from_int(v) if isinstance(v, int) else v
+
+
 class TestStaircase:
     def test_factorial_mode_first_step_exact(self, table100k):
         cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 5, 1)
@@ -342,8 +347,6 @@ class TestStaircase:
 
     def test_steps_strictly_increase(self, table100k):
         cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 2, 5)
-        def as_tower(v):
-            return tower_from_int(v) if isinstance(v, int) else v
         for step in cert.steps:
             assert tower_compare(as_tower(step.start), as_tower(step.end)) is Ordering.LESS
         for a, b in zip(cert.steps, cert.steps[1:]):
@@ -373,8 +376,6 @@ class TestStaircase:
             fact = staircase_certify(table100k, 5.45, 6, "factorial-squared", start, 3)
             powr = staircase_certify(table100k, 5.45, 6, "power-2piN", start, 3)
             for fs, ps in zip(fact.steps, powr.steps):
-                def as_tower(v):
-                    return tower_from_int(v) if isinstance(v, int) else v
                 assert (
                     tower_compare(as_tower(ps.end), as_tower(fs.end))
                     is not Ordering.GREATER
@@ -428,10 +429,59 @@ class TestStaircase:
         with pytest.raises(DomainError):
             staircase_certify(table100k, b, None, "power-2piN", 2, 1)
 
+    def test_refusal_uses_the_bound_on_ln_q(self, table100k):
+        # m ln 4 is a float at b = 1.2965e308; Robbins's bound on m ln Q(2) is not
+        with pytest.raises(DomainError, match=r"b=1\.2965e\+308, exponent m ~ 10\^308\.1"):
+            staircase_certify(table100k, 1.2965e308, None, "factorial-squared", 2, 1)
+
+    def test_no_generic_tower_arithmetic(self, table100k, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the staircase called tower_add or tower_mul")
+
+        monkeypatch.setattr(staircase, "tower_add", refuse)
+        monkeypatch.setattr(staircase, "tower_mul", refuse)
+        cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 2, 6)
+        assert [s.end.level for s in cert.steps[1:]] == [4, 5, 6, 7, 8]
+
     def test_measure_bound_two_accepted(self, table100k):
         cert = staircase_certify(table100k, 2.0, None, "power-2piN", 2, 1)
         assert cert.exponent == 3
         assert cert.steps
+
+
+class TestDirectedEnds:
+    """Every logarithmic end is at least 10 Q(start)^m, so pi(end) >= k is proven."""
+
+    @pytest.mark.parametrize("b, m", [(5.45, 6), (2, 3), (3.5, 4), (7, 8)])
+    def test_log_ends_bound_the_exact_end(self, table100k, b, m):
+        mpmath = pytest.importorskip("mpmath")
+        checked = 0
+        for n in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            cert = staircase_certify(table100k, b, m, "factorial-squared", n, 4)
+            ends = [n] + [step.end for step in cert.steps]
+            for lower, upper in zip(ends, ends[1:]):
+                assert tower_compare(as_tower(lower), as_tower(upper)) is Ordering.LESS
+            for step in cert.steps:
+                if step.witness_mode == "exact":
+                    continue
+                start, end = step.start, step.end
+                if isinstance(start, LogTower) and start.level > 4:
+                    # beyond mpmath: one level up, the mantissa strictly above
+                    assert end.level == start.level + 1 and end.mantissa > start.mantissa
+                    continue
+                with mpmath.workprec(600):
+                    x = mpmath.mpf(start if isinstance(start, int) else start.mantissa)
+                    for _ in range(0 if isinstance(start, int) else start.level):
+                        x = mpmath.exp(x)
+                    ln_q = 2 * mpmath.loggamma(x + 1)
+                    ln_end = mpmath.log(10) + m * ln_q  # ln(10 Q^m)
+                    assert step.ln_q_bound is None or step.ln_q_bound >= ln_q
+                    assert step.ln_end is None or step.ln_end >= ln_end
+                    for _ in range(end.level - 1):
+                        ln_end = mpmath.log(ln_end)
+                    assert end.mantissa >= ln_end, (n, step.index)
+                checked += 1
+        assert checked >= 18  # an int start and a level-4 start per chain
 
 
 class TestEuclidBaseline:
