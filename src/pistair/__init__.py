@@ -79,13 +79,11 @@ from .staircase import (
     theorem1_gate,
     theorem2_sequence,
     theorem3_sequence,
-    tower_add,
     tower_compare,
     tower_exp,
     tower_from_float,
     tower_from_int,
     tower_ln,
-    tower_mul,
     tower_normalize,
     tower_to_float,
 )

@@ -90,10 +90,14 @@ def tower_from_float(value: float) -> LogTower:
 
 
 def tower_from_int(n: int) -> LogTower:
-    """Tower for an exact positive integer of any size."""
+    """Tower for a positive integer of any size, rounded to nearest.
+
+    Below 2^996 it is the nearest float (2^64 - 1 becomes 2^64); from there
+    on it is exp of the rounded ln n.
+    """
     if n <= 0:
         raise DomainError(f"towers represent positive values, got {n}")
-    if n.bit_length() <= 996:  # < 1e300, exactly representable path
+    if n.bit_length() <= 996:  # n < 2^996 < 1e300: a level-0 float
         return LogTower(0, float(n))
     return tower_normalize(1, math.log(n))
 
@@ -152,43 +156,31 @@ def tower_exp(x: LogTower) -> LogTower:
     return tower_normalize(x.level + 1, x.mantissa)
 
 
-def tower_add(x: LogTower, y: LogTower) -> LogTower:
-    """x + y for positive tower values.
-
-    Exact in float whenever both values fit; one level down it uses
-    ln(x+y) = ln x + log1p(y/x); beyond that the smaller addend is below
-    one ulp of the dominant mantissa and is absorbed.
-    """
-    fx, fy = tower_to_float(x), tower_to_float(y)
-    if fx is not None and fy is not None and fx + fy < OVERFLOW:
-        return tower_from_float(fx + fy)
-    if tower_compare(x, y) is Ordering.LESS:
-        x, y = y, x
-    lx, ly = tower_ln(x), tower_ln(y)
-    flx, fly = tower_to_float(lx), tower_to_float(ly)
-    if flx is not None and fly is not None:
-        return tower_exp(tower_from_float(flx + math.log1p(math.exp(min(fly - flx, 0.0)))))
-    return x
-
-
-def tower_mul(x: LogTower, y: LogTower) -> LogTower:
-    """x * y for positive tower values, via logs when floats overflow."""
-    fx, fy = tower_to_float(x), tower_to_float(y)
-    if fx is not None and fy is not None and abs(fx * fy) < OVERFLOW:
-        return tower_from_float(fx * fy)
-    return tower_exp(tower_add(tower_ln(x), tower_ln(y)))
-
-
 def power_tower(base: float, height: int) -> LogTower:
-    """base^base^...^base with `height` copies, folded from the top via logs."""
+    """base^base^...^base with `height` copies, folded upward as t -> exp(t ln base).
+
+    Each step rounds to nearest, in one of three ways.  While t fits a float
+    v, the next tower is exp(v c), c = ln base.  While ln t fits a float, it is
+    exp(exp(ln t + ln c)).  Beyond that ln t is at least ~e^690, while
+    -1 < ln c < 7 (towers leave the float range only for base > e^(1/e)), so
+    adding ln c moves the top mantissa of ln t by less than one ulp: the next
+    tower is t one level up with the same mantissa.  So any base > 1 works at
+    any height.
+    """
     if height < 1:
         raise DomainError(f"tower height must be >= 1, got {height}")
     if base <= 1:
         raise DomainError(f"only growing towers (base > 1) are supported, got {base}")
-    ln_base = tower_from_float(math.log(base))
+    c = math.log(base)
     t = tower_from_float(float(base))
     for _ in range(height - 1):
-        t = tower_exp(tower_mul(t, ln_base))
+        v = tower_to_float(t)
+        if v is not None:
+            t = tower_exp(tower_from_float(v * c))
+        elif (ln_t := tower_to_float(tower_ln(t))) is not None:
+            t = tower_exp(tower_exp(tower_from_float(ln_t + math.log(c))))
+        else:
+            t = LogTower(t.level + 1, t.mantissa)
     return t
 
 
@@ -342,13 +334,9 @@ def theorem3_sequence(
     (e against 4 ln 2), and the lower margin, the narrower one for large n,
     shrinks only like log log n / log n (17% at 10^6).
 
-    ``min_increment`` is the first increment log a_2: a_n >= e > 1 makes
-    every increment log a_n >= 1, so a_n increases, and log a_n with it.
-    In float the step a_{n+1} - a_n >= 1 moves log a_n by about
-    log(a_n) / a_n, while math.log errs by about log(a_n) 2^-52 at most;
-    the step is larger by the factor 2^52 / a_n, about 3e8 at
-    a_{10^6} ~ 1.5e7, and no loop that finishes gets a_n near 2^52.  With
-    n_max = 2 no increment is taken and it is 0.0.
+    ``min_increment`` is the smallest float step a_{n+1} - a_n taken for
+    2 <= n < n_max, read off each block with the step into it; with
+    n_max = 2 no step is taken and it is 0.0.
     """
     if n_max < 2:
         raise RangeError(f"n_max must be >= 2, got {n_max}")
@@ -365,15 +353,21 @@ def theorem3_sequence(
     log = math.log
     a = math.e
     first_violation = None
+    min_increment = math.inf
+    values: list[float] = []
     marks = []
     for lo in range(2, n_max + 1, THEOREM3_CHUNK):
         hi = min(lo + THEOREM3_CHUNK, n_max + 1)
+        before = values[-1:]  # a_{lo-1}, for the step into this block
         values = [0.0] * (hi - lo)  # a_lo .. a_{hi-1}
         for i in range(hi - lo):
             values[i] = a
             a += log(a)
+        block = np.array(values)
         if first_violation is None:
-            first_violation = _first_sandwich_violation(lo, values)
+            first_violation = _first_sandwich_violation(lo, block)
+        steps = np.diff(block, prepend=before)
+        min_increment = min(min_increment, float(steps.min(initial=math.inf)))
         for n in wanted[bisect_left(wanted, lo) : bisect_left(wanted, hi)]:
             a_n = values[n - lo]
             if t is None:
@@ -386,16 +380,15 @@ def theorem3_sequence(
         a_final=values[-1],
         sandwich_ok=first_violation is None,
         first_sandwich_violation=first_violation,
-        min_increment=log(math.e) if n_max > 2 else 0.0,
+        min_increment=min_increment if n_max > 2 else 0.0,
         checkpoints=marks,
     )
 
 
-def _first_sandwich_violation(lo: int, values: list[float]) -> int | None:
-    """First n >= lo with values[n - lo] outside (n log n - n, 2 n log n]."""
-    n = np.arange(lo, lo + len(values), dtype=np.float64)
+def _first_sandwich_violation(lo: int, a: np.ndarray) -> int | None:
+    """First n >= lo with a[n - lo] outside (n log n - n, 2 n log n]."""
+    n = np.arange(lo, lo + len(a), dtype=np.float64)
     n_log_n = n * np.log(n)
-    a = np.array(values)
     bad = np.flatnonzero(~((n_log_n - n < a) & (a <= 2 * n_log_n)))
     return lo + int(bad[0]) if bad.size else None
 
@@ -655,18 +648,14 @@ def staircase_certify(
 def euclid_baseline(x: LogTower) -> int:
     """Largest k >= 0 with 2^(2^k) <= x (0 when even k = 0 fails).
 
-    Exact integer doubling decides small integral inputs; larger towers go
-    through log2 log2 x in floats.
+    Exact at level 0: 2^(2^k) is an integer, so it is <= x exactly when it
+    is <= floor(x), and k = floor(log2 floor(log2 floor(x))) comes from bit
+    lengths.  Towers of level >= 1 go through log2 log2 x in floats.
     """
     if x.level == 0:
         if x.mantissa < 2:
             return 0
-        if x.mantissa < 2**53 and float(x.mantissa).is_integer():
-            n = int(x.mantissa)
-            k = 0
-            while 2 ** (2 ** (k + 1)) <= n:
-                k += 1
-            return k
+        return (int(x.mantissa).bit_length() - 1).bit_length() - 1
     lx = tower_ln(x)
     flx = tower_to_float(lx)
     if flx is not None:

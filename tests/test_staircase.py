@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -21,13 +22,11 @@ from pistair import (
     theorem1_gate,
     theorem2_sequence,
     theorem3_sequence,
-    tower_add,
     tower_compare,
     tower_exp,
     tower_from_float,
     tower_from_int,
     tower_ln,
-    tower_mul,
     tower_normalize,
     tower_to_float,
 )
@@ -117,21 +116,6 @@ class TestTowerCompare:
 
 
 class TestTowerArithmetic:
-    def test_add_small(self):
-        s = tower_add(tower_from_float(2.0), tower_from_float(3.0))
-        assert tower_to_float(s) == pytest.approx(5.0)
-
-    def test_add_beyond_float(self):
-        big = tower_normalize(1, 800.0)  # e^800
-        s = tower_add(big, big)  # 2 e^800 -> mantissa 800 + ln 2
-        lined_up = tower_ln(s)
-        assert tower_to_float(lined_up) == pytest.approx(800.0 + math.log(2), rel=1e-12)
-
-    def test_mul_beyond_float(self):
-        big = tower_normalize(1, 800.0)
-        p = tower_mul(big, big)
-        assert tower_to_float(tower_ln(p)) == pytest.approx(1600.0, rel=1e-12)
-
     def test_exp_ln_roundtrip(self):
         t = tower_normalize(1, 700.0)
         back = tower_ln(tower_exp(t))
@@ -148,6 +132,89 @@ class TestTowerArithmetic:
         assert tower_to_float(power_tower(2, 4)) == pytest.approx(65536.0)
         t5 = power_tower(2, 5)  # 2^65536
         assert tower_to_float(tower_ln(t5)) == pytest.approx(65536 * math.log(2), rel=1e-9)
+
+    # bases above e^(1/e), whose towers leave the float range, at heights 1..30
+    GRID_BASES = (
+        [float(b) for b in np.linspace(math.exp(1 / math.e), math.e, 42)[1:-1]]
+        + [float(b) for b in np.linspace(153.3, 154.0, 15)]
+        + [float(b) for b in np.geomspace(3.0, 1e300, 40)]
+    )
+
+    def test_power_tower_keeps_every_earlier_answer(self):
+        returned = raised = 0
+        for base in self.GRID_BASES:
+            below = None
+            for height in range(1, 31):
+                t = power_tower(base, height)
+                try:
+                    ref = power_tower_generic(base, height)
+                except DomainError:
+                    # the generic path took the log of ln ln base < 0
+                    raised += 1
+                    assert tower_compare(below, t) is Ordering.LESS, (base, height)
+                else:
+                    returned += 1
+                    assert (t.level, t.mantissa) == (ref.level, ref.mantissa), (base, height)
+                below = t
+        assert returned > 1000 and raised > 500
+
+    @pytest.mark.parametrize(
+        "base, height",
+        [(2.0, 6), (2.0, 7), (2.5, 6), (2.7, 6), (1.5, 16), (3.0, 5), (5.0, 4)],
+    )
+    def test_power_tower_against_mpmath(self, base, height):
+        mpmath = pytest.importorskip("mpmath")
+        t = power_tower(base, height)
+        with mpmath.workprec(400):
+            b = mpmath.mpf(base)
+            c = mpmath.log(b)
+
+            def iterated_log(h, k):
+                """ln^k of the height-h tower, exponentiating only the towers below it."""
+                if h == 1:
+                    x = b
+                elif k == 0:
+                    return mpmath.exp(iterated_log(h, 1))
+                elif k == 1:
+                    return c * iterated_log(h - 1, 0)
+                else:
+                    x, k = mpmath.log(c) + iterated_log(h - 1, 1), k - 2
+                for _ in range(k):
+                    x = mpmath.log(x)
+                return x
+
+            exact = iterated_log(height, t.level)
+            assert 1 <= exact < mpmath.e
+            assert abs(t.mantissa - exact) <= 4 * math.ulp(t.mantissa), (t, exact)
+
+
+def power_tower_generic(base, height):
+    """Reference: the fold through generic round-to-nearest tower + and *, which
+    raises once it takes the log of a nonpositive ln ln base (base < e)."""
+
+    def add(x, y):
+        fx, fy = tower_to_float(x), tower_to_float(y)
+        if fx is not None and fy is not None and fx + fy < 1e300:
+            return tower_from_float(fx + fy)
+        if tower_compare(x, y) is Ordering.LESS:
+            x, y = y, x
+        lx, ly = tower_ln(x), tower_ln(y)
+        flx, fly = tower_to_float(lx), tower_to_float(ly)
+        if flx is not None and fly is not None:
+            return tower_exp(tower_from_float(flx + math.log1p(math.exp(min(fly - flx, 0.0)))))
+        return x
+
+    def mul(x, y):
+        fx, fy = tower_to_float(x), tower_to_float(y)
+        if fx is not None and fy is not None and abs(fx * fy) < 1e300:
+            return tower_from_float(fx * fy)
+        return tower_exp(add(tower_ln(x), tower_ln(y)))
+
+    ln_base = tower_from_float(math.log(base))
+    t = tower_from_float(float(base))
+    for _ in range(height - 1):
+        t = tower_exp(mul(t, ln_base))
+    return t
 
 
 class TestFactorialGate:
@@ -255,6 +322,19 @@ class TestGapRecursion:
             gap_recursion_stepwise(n_max)
         )
 
+    @pytest.mark.parametrize("n", [3, 100, EDGE, 2 * EDGE - 1, 2 * EDGE + 4])
+    def test_min_increment_is_measured(self, monkeypatch, n):
+        # a planted recursion steps by 0.5 from a_n, below the first step log e = 1;
+        # the step from a_(n_max) is never taken
+        n_max = 2 * self.EDGE + 4
+        a_n = theorem3_sequence(n_max, checkpoints=[n]).checkpoints[0].a_n
+        planted = types.SimpleNamespace(
+            **{**vars(math), "log": lambda a: 0.5 if a == a_n else math.log(a)}
+        )
+        monkeypatch.setattr(staircase, "math", planted)
+        smallest = 1.0 if n == n_max else (a_n + 0.5) - a_n
+        assert theorem3_sequence(n_max).min_increment == smallest
+
     def test_checkpoints_across_block_edges(self, table100k):
         edge = self.EDGE  # the second block holds edge + 1 .. 2 * edge - 1
         n_max = 2 * edge + 1
@@ -295,9 +375,9 @@ def gap_recursion_stepwise(n_max, t=None, checkpoints=()):
             marks.append(GapRecursionCheckpoint(n, a, p_n, rel))
         if n == n_max:
             break
-        increment = math.log(a)
-        min_increment = min(min_increment, increment)
-        a += increment
+        a_next = a + math.log(a)
+        min_increment = min(min_increment, a_next - a)
+        a = a_next
     return GapRecursionReport(
         n_max=n_max,
         a_final=a,
@@ -346,7 +426,8 @@ class TestStaircase:
             staircase_certify(table100k, 5.45, 10**309, mode, 2, 1)
 
     def test_steps_strictly_increase(self, table100k):
-        cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 2, 5)
+        cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 2, 6)
+        assert [s.end.level for s in cert.steps[1:]] == [4, 5, 6, 7, 8]
         for step in cert.steps:
             assert tower_compare(as_tower(step.start), as_tower(step.end)) is Ordering.LESS
         for a, b in zip(cert.steps, cert.steps[1:]):
@@ -434,15 +515,6 @@ class TestStaircase:
         with pytest.raises(DomainError, match=r"b=1\.2965e\+308, exponent m ~ 10\^308\.1"):
             staircase_certify(table100k, 1.2965e308, None, "factorial-squared", 2, 1)
 
-    def test_no_generic_tower_arithmetic(self, table100k, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the staircase called tower_add or tower_mul")
-
-        monkeypatch.setattr(staircase, "tower_add", refuse)
-        monkeypatch.setattr(staircase, "tower_mul", refuse)
-        cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 2, 6)
-        assert [s.end.level for s in cert.steps[1:]] == [4, 5, 6, 7, 8]
-
     def test_measure_bound_two_accepted(self, table100k):
         cert = staircase_certify(table100k, 2.0, None, "power-2piN", 2, 1)
         assert cert.exponent == 3
@@ -499,6 +571,26 @@ class TestEuclidBaseline:
 
     def test_e_to_the_e(self):
         assert euclid_baseline(tower_normalize(2, 1.0)) == 1
+
+    def test_level_zero_is_exact(self):
+        def exact(x):
+            n, k = int(x), 0
+            while 2 ** (2 ** (k + 1)) <= n:
+                k += 1
+            return k
+
+        # the floats just below 2^64, 2^128, 2^256 and 2^512
+        below = [math.nextafter(float(2 ** 2**k), 0.0) for k in (6, 7, 8, 9)]
+        assert [euclid_baseline(tower_from_float(x)) for x in below] == [5, 6, 7, 8]
+        for k in range(10):
+            assert euclid_baseline(tower_from_float(float(2 ** 2**k))) == k
+        rng = random.Random(20240214)
+        xs = [2.0 ** rng.uniform(1, 1020) for _ in range(2000)]
+        for k in range(10):
+            x = float(2 ** 2**k)
+            xs += [x + d * math.ulp(x) for d in range(-3, 4) if x + d * math.ulp(x) >= 2]
+        for x in xs:
+            assert euclid_baseline(tower_from_float(x)) == exact(x), x
 
     def test_huge_tower(self):
         t = tower_normalize(3, 1.5)  # exp(exp(exp(1.5)))
