@@ -23,7 +23,7 @@ from .arith import (
     RealEnclosure, as_rational, digit_ladder, neg_log_gaps, rational_exp_upper, zeta2_enclosure,
 )
 from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
-from .primes import PrimeTable, prime_count, product_tree
+from .primes import PrimeTable, count_at_most, int_dtype, prime_count, product_tree
 from .records import decimal_field
 
 
@@ -84,9 +84,9 @@ def _p2_minus_1_exponents(ps: np.ndarray) -> np.ndarray:
     was 18 MB.
     """
     top = int(ps[-1]) // 2 + 1
-    half = (ps[1:] // 2).astype(np.int32 if top < 2**31 else np.int64)
+    half = (ps[1:] // 2).astype(int_dtype(top), copy=False)
     factor = np.zeros(top + 1, dtype=half.dtype)  # 0 at primes, 0 and 1
-    for r in ps[: int(np.searchsorted(ps, math.isqrt(top), side="right"))].tolist():
+    for r in ps[: int(count_at_most(ps, math.isqrt(top)))].tolist():
         factor[r * r :: r] = r
     rest = np.concatenate((half, half + 1))
     rest = rest[rest > 1]

@@ -31,7 +31,8 @@ from .arith import (
 from .errors import ResourceLimitError
 from .euler import approximation_gap, euler_product, qn_bound_report, tail_product_upper
 from .primes import (
-    lcm_to, log_lcm_table, log_lcm_to, nth_prime, nth_prime_limit_estimate, prime_count, sieve,
+    count_at_most, lcm_to, log_lcm_table, log_lcm_to, nth_prime, nth_prime_limit_estimate,
+    prime_count, sieve,
 )
 from .staircase import (
     Ordering, euclid_baseline, staircase_certify, theorem1_gate, theorem2_sequence,
@@ -136,7 +137,7 @@ def log_lcm_bound(n_max: int):
     """log d_n <= pi(n) log n at every 2 <= n <= n_max; log d_n ~ n at n_max."""
     t = sieve(n_max)
     n = np.arange(2, n_max + 1)
-    bound = np.searchsorted(t.primes, n, side="right") * np.log(n)
+    bound = count_at_most(t.primes, n) * np.log(n)
     above = np.flatnonzero(log_lcm_table(t, n_max)[2:] > bound + 1e-9) + 2
     _require(above.size == 0, "log d_n > pi(n) log n at n = %s", above[:1])
     final = log_lcm_to(t, n_max)

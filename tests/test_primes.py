@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pistair import (
+    DomainError,
     RangeError,
     ResourceLimitError,
     lcm_to,
@@ -15,8 +16,10 @@ from pistair import (
     nth_prime,
     prime_count,
     sieve,
+    verify,
 )
-from pistair.primes import DEFAULT_SEGMENT_SIZE, PRODUCT_LEAF, product_tree
+from pistair.euler import FACTORED_FROM, euler_product
+from pistair.primes import DEFAULT_SEGMENT_SIZE, PRODUCT_LEAF, _collect, int_dtype, product_tree
 
 
 def trial_division_primes(limit):
@@ -44,7 +47,7 @@ REFERENCE = flat_sieve(16 * 15015 + 2)
 def assert_sieve(limit, segment_size=None, reference=REFERENCE):
     got = sieve(limit, segment_size).primes
     want = reference[: np.searchsorted(reference, limit, side="right")]
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32  # every limit here is below 2^31
     assert np.array_equal(got, want), (limit, segment_size)
 
 
@@ -133,7 +136,7 @@ class TestSieve:
         t = sieve(10**8)
         assert len(t) == 5761455
         assert int(t.primes[-1]) == 99999989
-        assert t.primes.dtype == np.int64
+        assert t.primes.dtype == np.int32  # 4 bytes a prime below 2^31
 
     @pytest.mark.parametrize("segment_size", [-5, 0, 1])
     def test_rejects_bad_segment_size(self, segment_size):
@@ -142,6 +145,60 @@ class TestSieve:
 
     def test_none_is_the_default_segment(self):
         assert np.array_equal(sieve(100, None).primes, sieve(100).primes)
+
+    def test_dtype_switches_at_2_to_31(self):
+        # the rule sieve applies, checked without sieving that far;
+        # 2^31 - 1 is itself prime and the largest int32
+        assert int_dtype(2**31 - 1) is np.int32
+        assert int_dtype(2**31) is np.int64
+
+    def test_collect_past_2_to_31(self):
+        # the int64 path, which only a raised sieve cap reaches
+        flags = np.random.default_rng(0).random(10_000) < 0.1
+        out = np.empty(len(flags), dtype=np.int64)
+        count = _collect(flags, 2**31 + 1, out)
+        assert out[:count].tolist() == [2**31 + 1 + 2 * i for i in np.flatnonzero(flags).tolist()]
+
+
+class TestTypedKeys:
+    """Every lookup in a table hands numpy its key in the table's dtype.
+
+    Under NumPy 2 (NEP 50) a Python int key casts a whole int32 table to
+    int64 on every np.searchsorted, which costs as much as a scan.
+    """
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        seen = []
+        searchsorted = np.searchsorted
+
+        def spy(a, v, *args, **kwargs):
+            seen.append((np.asarray(a).dtype, np.asarray(v).dtype))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: prime_count(sieve(3000), 1000.5), id="prime_count"),
+            pytest.param(lambda: lcm_to(sieve(3000), 2999), id="lcm_to"),
+            pytest.param(lambda: log_lcm_to(sieve(3000), 2999), id="log_lcm_to"),
+            pytest.param(lambda: log_lcm_table(sieve(3000), 3000), id="log_lcm_table"),
+            pytest.param(lambda: sieve(10**5, 1000), id="sieve"),
+            # a fresh table misses the product cache; N = 3000 has 430 primes
+            pytest.param(lambda: euler_product(sieve(3000), 3000), id="euler_product"),
+            pytest.param(lambda: verify.log_lcm_bound(1000), id="verify_log_lcm_bound"),
+        ],
+    )
+    def test_key_in_table_dtype(self, lookups, call):
+        call()
+        assert lookups
+        assert all(table == key for table, key in lookups), lookups
+
+    def test_euler_product_takes_the_factored_route(self):
+        assert prime_count(sieve(3000), 3000) >= FACTORED_FROM
 
 
 class TestPrimeCount:
@@ -157,6 +214,10 @@ class TestPrimeCount:
     def test_range_error(self, table3k):
         with pytest.raises(RangeError):
             prime_count(table3k, 3001)
+
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="nan"):
+            prime_count(sieve(100), float("nan"))
 
     def test_inverse_adjacency(self, table3k):
         for x in (10, 97, 98, 1000, 2500):
