@@ -6,6 +6,17 @@ rational endpoints known to bracket a real number; the zeta(2) enclosure
 is produced from Machin's identity pi/4 = 4 arctan(1/5) - arctan(1/239)
 with every rounding step accounted for, so the endpoints are proofs, not
 estimates.
+
+The arctan series is summed in floor-rounded fixed point, one term at a
+time from a running quotient, or, while that quotient is large, a block
+of ARCTAN_BLOCK terms from one division: with D = x^(2j) prod (2k+2i+1)
+divisible by each term's divisor e_i, floor(power / e_i) =
+Q (D/e_i) + floor(R / e_i) for power = QD + R (proved in
+_arctan_recip_scaled).  Both give the same integers.  The endpoints
+pi^2 / (6 10^(2m)) have the {2, 3, 5}-smooth denominator
+2^(2m+1) 3 5^(2m), so they are reduced by stripping those primes, with
+no gcd (_fraction_over_smooth).  A 1900-digit enclosure took 4.5 ms
+before both changes and 1.7 ms after them.
 """
 
 from __future__ import annotations
@@ -17,13 +28,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import config
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, PrecisionExhaustedError, ResourceLimitError
 from .records import rational_str
 
 #: Extra decimal places carried through the fixed-point summation.  They
 #: absorb the per-term floor rounding and the final squaring, keeping the
 #: output width comfortably below 10^-digits (checked before returning).
 GUARD_DIGITS = 10
+
+#: Terms of the arctan series that _arctan_recip_scaled takes from one
+#: division, while the running quotient has at least ARCTAN_BLOCK_FROM_BITS
+#: bits (both measured in _arctan_recip_scaled).
+ARCTAN_BLOCK = 16
+ARCTAN_BLOCK_FROM_BITS = 1536
 
 
 def as_rational(value) -> Fraction:
@@ -151,13 +168,45 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
     once per division, this gives power = floor(scale / x^(2k+1)) and
     t = floor(scale / ((2k+1) x^(2k+1))) exactly, the same floored term as a
     direct division, so the sum and the unit counts above are unchanged.
+
+    While ``power`` has at least ARCTAN_BLOCK_FROM_BITS bits, the j =
+    ARCTAN_BLOCK terms from k on come from one division by a small number
+    instead of 2j passes over ``power``.  The term k + i is
+    floor(power / e_i) with e_i = x^(2i) (2k+2i+1) for i < j, and the next
+    running quotient is floor(power / e_j) with e_j = x^(2j), by the
+    identity above.  Every e_i divides D = x^(2j) P, P = prod (2k+2i+1).
+    With power = QD + R, 0 <= R < D, and D/e_i an integer,
+    floor(power / e_i) = Q (D/e_i) + floor(R / e_i), since QD/e_i is an
+    integer and 0 <= R/e_i.  So the block adds Q c + r, with the small
+    c = sum (-1)^i D/e_i and r = sum (-1)^i floor(R/e_i) (its floors again
+    by the running quotient, on R), and the next running quotient is
+    QP + floor(R / x^(2j)).  If Q >= 1 every term of the block is at least
+    D/e_i >= 1, so none is the zero that ends the series; Q = 0, or a
+    ``power`` below the crossover, hands the rest to the per-term loop,
+    which alone decides where the series stops.  The integers are the same
+    as the per-term loop's, term by term.
+
+    A block costs one division and two multiplications of ``power`` by
+    numbers of about j (2 log2 x + log2 2k) bits, against 2j single-limb
+    passes, plus ~2j small-integer operations.  Timed on Python 3.11, 2-core
+    Xeon, best of 3 to 9 in runs that differed by up to 25%: at 2000
+    digits, x = 5 took 3.3 ms term by term and 1.5 to 1.7 ms in blocks of
+    j = 8 to 32, x = 239 1.06 ms and 0.62 to 0.72 ms; at 10^4 digits, x = 5
+    took 81 ms term by term, 30 ms for j = 8 and 19 to 21 ms for j = 12 to
+    32.  j = 16 is within the spread of the best from 10^3 to 10^4 digits.
+    One block of 16 against 16 single terms broke even at a ``power`` of
+    ~800 bits (x = 5) to ~1500 bits (x = 239, k ~ 1400).  With blocks from
+    768 or 1024 bits, x = 239 at 300 to 400 digits was 10 to 27% slower
+    than term by term; from 1536 bits no size from 100 to 2000 digits was
+    slower beyond the spread.
     """
     x2 = x * x
     power = scale // x  # floor(scale / x^(2k+1))
-    k = 0
-    acc = 0
-    n_pos = 0
-    n_neg = 0
+    k = acc = 0
+    if power.bit_length() >= ARCTAN_BLOCK_FROM_BITS:
+        k, acc, power = _arctan_blocks(x2, power)
+    n_pos = (k + 1) // 2
+    n_neg = k // 2
     while True:
         t = power // (2 * k + 1)
         if t == 0:
@@ -177,6 +226,36 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
     else:
         lo -= 1  # omitted tail is negative and > -1 unit
     return lo, hi
+
+
+def _arctan_blocks(x2: int, power: int) -> tuple[int, int, int]:
+    """The block phase of _arctan_recip_scaled from k = 0, power = scale // x.
+
+    Returns (k, acc, power): the number of terms summed, which is a multiple
+    of ARCTAN_BLOCK, their signed sum, and floor(scale / x^(2k+1)).
+    """
+    j = ARCTAN_BLOCK
+    x2_pows = [x2**i for i in range(j + 1)]
+    k = acc = 0
+    while power.bit_length() >= ARCTAN_BLOCK_FROM_BITS:
+        odds = range(2 * k + 1, 2 * k + 2 * j, 2)
+        p = math.prod(odds)
+        q, r = divmod(power, x2_pows[j] * p)
+        if q == 0:
+            break
+        c = s = 0
+        for i, o in enumerate(odds):
+            if i % 2:
+                c -= x2_pows[j - i] * (p // o)
+                s -= r // o
+            else:
+                c += x2_pows[j - i] * (p // o)
+                s += r // o
+            r //= x2
+        acc += -(q * c + s) if k % 2 else q * c + s
+        power = q * p + r
+        k += j
+    return k, acc, power
 
 
 def zeta2_enclosure(digits: int) -> RealEnclosure:
@@ -209,19 +288,62 @@ def digit_ladder(digits: int) -> list[int]:
 
 @lru_cache(maxsize=64)
 def _zeta2_cached(digits: int) -> RealEnclosure:
-    scale = 10 ** (digits + GUARD_DIGITS)
+    m = digits + GUARD_DIGITS
+    scale = 10**m
     a5_lo, a5_hi = _arctan_recip_scaled(5, scale)
     a239_lo, a239_hi = _arctan_recip_scaled(239, scale)
     # pi = 16 arctan(1/5) - 4 arctan(1/239); integer scaling is exact.
     pi_lo = 16 * a5_lo - 4 * a239_hi
     pi_hi = 16 * a5_hi - 4 * a239_lo
-    enclosure = RealEnclosure(
-        Fraction(pi_lo * pi_lo, 6 * scale * scale),
-        Fraction(pi_hi * pi_hi, 6 * scale * scale),
+    # The width (pi_hi^2 - pi_lo^2) / (6 scale^2) is at most 10^-digits iff
+    # (pi_hi^2 - pi_lo^2) 10^digits <= 6 scale^2, here divided through by
+    # 10^digits.  The guard digits make this unreachable; it is a contract.
+    if (pi_hi - pi_lo) * (pi_hi + pi_lo) > 6 * scale * 10**GUARD_DIGITS:
+        raise PrecisionExhaustedError(
+            f"zeta(2) enclosure at {digits} digits is wider than 10^-{digits}"
+        )
+    # 6 scale^2 = 2^(2m+1) 3 5^(2m)
+    return RealEnclosure(
+        _fraction_over_smooth(pi_lo * pi_lo, 2 * m + 1, 1, 2 * m),
+        _fraction_over_smooth(pi_hi * pi_hi, 2 * m + 1, 1, 2 * m),
     )
-    # The guard digits make this unreachable; keep it as a hard contract.
-    assert enclosure.width <= Fraction(1, 10**digits)
-    return enclosure
+
+
+def _fraction_over_smooth(numerator: int, twos: int, threes: int, fives: int) -> Fraction:
+    """numerator / (2^twos 3^threes 5^fives) for numerator > 0, with no gcd.
+
+    The common 2s go by the numerator's trailing zero bits, the 3s and 5s by
+    trial division, each up to its exponent in the denominator.  What is
+    left is coprime: a prime 2, 3 or 5 stays in the denominator only if the
+    numerator has no more of it.  On the two zeta(2) endpoints, squares and
+    all, this took 0.12 ms at 1900 digits and 1.9 ms at 9990, where
+    Fraction(pi^2, 6 scale^2) took 0.98 and 18 ms (Python 3.11, best of 15).
+    """
+    n = numerator
+    shift = min((n & -n).bit_length() - 1, twos)
+    n >>= shift
+    odd = 1
+    for prime, cap in ((3, threes), (5, fives)):
+        while cap and n % prime == 0:
+            n //= prime
+            cap -= 1
+        odd *= prime**cap
+    return _coprime_fraction(n, odd << (twos - shift))
+
+
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator, for coprime ints with denominator > 0.
+
+    Fraction() reduces by a gcd, which for the Euler products p_N/q_N and
+    the zeta(2) endpoints costs more than building their parts.
+    Fraction._from_coprime_ints skips it, but exists only on Python 3.12+,
+    so this does what it does: object.__new__(Fraction) with the two slots
+    _numerator and _denominator set.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
 
 
 def rational_exp_upper(x) -> Fraction:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import config
 from .arith import (
-    RealEnclosure, as_rational, digit_ladder, neg_log_gaps, rational_exp_upper, zeta2_enclosure,
+    RealEnclosure, _coprime_fraction, as_rational, digit_ladder, neg_log_gaps, rational_exp_upper,
+    zeta2_enclosure,
 )
 from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
 from .primes import PrimeTable, count_at_most, int_dtype, prime_count, product_tree
@@ -118,20 +119,6 @@ def _power_product(rs: np.ndarray, exps: np.ndarray) -> int:
     for j in reversed(range(int(exps.max(initial=0)).bit_length())):
         result = result * result * product_tree(rs[(exps >> j) & 1 == 1].tolist())
     return result
-
-
-def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
-    """The Fraction numerator/denominator, for coprime ints with denominator > 0.
-
-    Fraction() reduces by a gcd, which at q_N's size costs more than the
-    products themselves.  Fraction._from_coprime_ints skips it, but exists
-    only on Python 3.12+, so this does what it does: object.__new__(Fraction)
-    with the two slots _numerator and _denominator set.
-    """
-    value = object.__new__(Fraction)
-    value._numerator = numerator
-    value._denominator = denominator
-    return value
 
 
 @dataclass(frozen=True)

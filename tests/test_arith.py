@@ -1,3 +1,5 @@
+import fractions
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from pistair import (
     DomainError,
     Placement,
+    PrecisionExhaustedError,
     RealEnclosure,
     ResourceLimitError,
     as_rational,
@@ -18,7 +21,10 @@ from pistair import (
     rational_str,
     zeta2_enclosure,
 )
-from pistair.arith import _arctan_recip_scaled, digit_ladder, neg_log_gaps
+from pistair import arith
+from pistair.arith import (
+    GUARD_DIGITS, _arctan_recip_scaled, _fraction_over_smooth, digit_ladder, neg_log_gaps,
+)
 
 
 def partial_sum(n):
@@ -179,6 +185,42 @@ class TestZeta2Enclosure:
         with pytest.raises(ResourceLimitError):
             zeta2_enclosure(51)
 
+    def test_width_contract_raises(self, monkeypatch):
+        # an arctan bracket 10^GUARD_DIGITS units wide breaks the width
+        # contract; an explicit raise, not an assert, so python -O keeps it
+        def widened(x, scale):
+            lo, hi = _arctan_recip_scaled(x, scale)
+            return lo - 10**GUARD_DIGITS, hi + 10**GUARD_DIGITS
+
+        monkeypatch.setattr(arith, "_arctan_recip_scaled", widened)
+        arith._zeta2_cached.cache_clear()
+        try:
+            with pytest.raises(PrecisionExhaustedError, match="wider than 10\\^-20"):
+                zeta2_enclosure(20)
+        finally:
+            arith._zeta2_cached.cache_clear()
+
+    @pytest.mark.parametrize("counts", [range(1, 401), [1900], [2100], [9990]], ids=str)
+    def test_endpoints_equal_the_gcd_path(self, counts):
+        for digits in counts:
+            scale = 10 ** (digits + GUARD_DIGITS)
+            a5, a239 = _arctan_recip_scaled(5, scale), _arctan_recip_scaled(239, scale)
+            pi_lo, pi_hi = 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+            enc = zeta2_enclosure(digits)
+            for end, pi in ((enc.lo, pi_lo), (enc.hi, pi_hi)):
+                expected = Fraction(pi * pi, 6 * scale * scale)
+                assert (end.numerator, end.denominator) == (expected.numerator, expected.denominator)
+                assert end.denominator > 0 and math.gcd(end.numerator, end.denominator) == 1
+
+    def test_endpoints_take_no_gcd(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("gcd called")
+
+        arith._zeta2_cached.cache_clear()
+        monkeypatch.setattr(fractions.math, "gcd", refuse)
+        enc = zeta2_enclosure(1900)
+        assert SANDWICH_LO < enc.lo < enc.hi < SANDWICH_HI
+
 
     def test_default_cap_contains_mpmath_value(self):
         # independent oracle: mpmath interval arithmetic 30 digits past the cap
@@ -228,17 +270,116 @@ def arctan_recip_per_term_division(x, scale):
     return lo, hi
 
 
+def arctan_recip_running_quotient(x, scale):
+    """Reference: the running quotient carried one term at a time."""
+    x2 = x * x
+    power = scale // x
+    k = acc = n_pos = n_neg = 0
+    while True:
+        t = power // (2 * k + 1)
+        if t == 0:
+            break
+        if k % 2 == 0:
+            acc += t
+            n_pos += 1
+        else:
+            acc -= t
+            n_neg += 1
+        k += 1
+        power //= x2
+    lo = acc - n_neg
+    hi = acc + n_pos
+    if k % 2 == 0:
+        hi += 1
+    else:
+        lo -= 1
+    return lo, hi
+
+
+def scales_with_terms(x, n):
+    """The least and the greatest scale whose series has exactly n >= 1 nonzero terms."""
+    least, greatest = (2 * n - 1) * x ** (2 * n - 1), (2 * n + 1) * x ** (2 * n + 1) - 1
+    for scale in (least, greatest):
+        assert scale // ((2 * n - 1) * x ** (2 * n - 1)) >= 1
+        assert scale // ((2 * n + 1) * x ** (2 * n + 1)) == 0
+    return least, greatest
+
+
+BLOCK = arith.ARCTAN_BLOCK
+
+
 class TestArctanSeries:
     @given(x=st.integers(2, 300), scale=st.integers(1, 10**400))
     @settings(max_examples=300, deadline=None)
     def test_running_quotient_matches_per_term_division(self, x, scale):
         assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
 
+    @given(
+        x=st.integers(2, 300),
+        scale=st.integers(1, 10**1000),
+        from_bits=st.sampled_from([0, 64]),
+        block=st.sampled_from([1, 3, BLOCK]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_from_any_size_match_per_term_division(self, x, scale, from_bits, block):
+        # blocks down to a 0- or 64-bit running quotient, so that the
+        # block phase also ends by Q == 0, at any term count; odd block
+        # lengths start blocks at odd k
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "ARCTAN_BLOCK_FROM_BITS", from_bits)
+            mp.setattr(arith, "ARCTAN_BLOCK", block)
+            assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
+
     @pytest.mark.parametrize("x", [5, 239])
     def test_machin_arguments_at_powers_of_ten(self, x):
         for e in (1, 11, 40, 310, 2010):
             scale = 10**e
             assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
+
+    @pytest.mark.parametrize("from_bits", [0, None])
+    @pytest.mark.parametrize("x", [2, 3, 5, 239, 300])
+    def test_block_edges(self, monkeypatch, x, from_bits):
+        # term counts = 0, 1 and j - 1 mod j; with the crossover at 0 bits
+        # every block phase ends by Q == 0, with the default one the large
+        # counts start in blocks and end in the per-term loop
+        if from_bits is not None:
+            monkeypatch.setattr(arith, "ARCTAN_BLOCK_FROM_BITS", from_bits)
+        big = next(
+            m for m in itertools.count(1)
+            if (scales_with_terms(x, m * BLOCK)[0] // x).bit_length() >= arith.ARCTAN_BLOCK_FROM_BITS
+        )
+        for m in sorted({1, 2, 5, big}):
+            for n in (m * BLOCK, m * BLOCK + 1, m * BLOCK + BLOCK - 1):
+                for scale in scales_with_terms(x, n):
+                    assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
+
+    @pytest.mark.parametrize("x", [5, 239])
+    def test_machin_arguments_at_the_digit_cap(self, x):
+        scale = 10**10010
+        assert _arctan_recip_scaled(x, scale) == arctan_recip_running_quotient(x, scale)
+
+
+SMOOTH_OFFSETS = st.sampled_from([-2, -1, 0, 1, 2]) | st.integers(-1000, 1000)
+# the caps of 6 * 10^(2m) = 2^(2m+1) 3 5^(2m), or any caps
+SMOOTH_CAPS = st.integers(1, 2000).map(lambda m: (2 * m + 1, 1, 2 * m)) | st.tuples(
+    st.integers(0, 60), st.integers(0, 60), st.integers(0, 60)
+)
+
+
+@given(
+    core=st.integers(1, 10**60),
+    caps=SMOOTH_CAPS,
+    offsets=st.tuples(SMOOTH_OFFSETS, SMOOTH_OFFSETS, SMOOTH_OFFSETS),
+)
+@settings(max_examples=500, deadline=None)
+def test_fraction_over_smooth_with_planted_factors(core, caps, offsets):
+    # planted exponents at, below and above each cap
+    a, b, c = (max(0, cap + off) for cap, off in zip(caps, offsets))
+    numerator = core * 2**a * 3**b * 5**c
+    value = _fraction_over_smooth(numerator, *caps)
+    expected = Fraction(numerator, 2 ** caps[0] * 3 ** caps[1] * 5 ** caps[2])
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert math.gcd(value.numerator, value.denominator) == 1
 
 
 class TestRationalExpUpper:

@@ -21,7 +21,8 @@ from pistair import (
     tail_product_upper,
     zeta2_enclosure,
 )
-from pistair.euler import FACTORED_FROM, _coprime_fraction
+from pistair.arith import _coprime_fraction
+from pistair.euler import FACTORED_FROM
 from pistair.primes import PrimeTable
 
 
