@@ -20,20 +20,21 @@ import datetime
 import io
 import json
 import sys
-from typing import Callable, NamedTuple
+from types import FunctionType
+from typing import NamedTuple
 
 from . import __version__
 from .arith import zeta2_enclosure
 from .approx import (
-    RVConstants, continued_fraction, lemma4_derivation, sondow_inequality_check,
-    zeta2_exponent_report,
+    LEMMA4_MODES, RVConstants, continued_fraction, lemma4_derivation,
+    sondow_inequality_check, zeta2_exponent_report,
 )
 from .errors import PistairError, PrecisionExhaustedError
 from .euler import approximation_gap, euler_product, qn_bound_report
 from .primes import lcm_to, log_lcm_to, nth_prime_limit_estimate, sieve
 from .records import decimal_str, rational_str, to_record
 from .staircase import (
-    euclid_baseline, staircase_certify, theorem1_gate, theorem2_sequence,
+    Q_MODES, euclid_baseline, staircase_certify, theorem1_gate, theorem2_sequence,
     theorem3_sequence, tower_normalize,
 )
 from .verify import SUITES, run_suite
@@ -55,7 +56,7 @@ class _Command(NamedTuple):
     help: str
     arguments: tuple  # of (flags, options) pairs, as made by _arg
     table: bool  # takes --sieve-limit
-    handler: Callable  # parsed arguments -> (records, exit_code)
+    handler: FunctionType  # parsed arguments -> (records, exit_code)
 
 
 #: subcommand name -> its declaration, in the order `--help` lists them
@@ -202,7 +203,7 @@ def _cmd_theorem3(args):
     return [to_record(theorem3_sequence(args.n, t))], 0
 
 @_command("staircase", "prime-gap staircase certificate",
-          _arg("--mode", choices=("factorial-squared", "power-2piN"), required=True),
+          _arg("--mode", choices=Q_MODES, required=True),
           _arg("--m", type=int, default=None), _arg("--b", type=float, default=5.45),
           _arg("--start", type=int, default=2), _arg("--steps", type=int, default=3),
           table=True)
@@ -222,7 +223,7 @@ def _cmd_staircase(args):
 @_command("lemma4", "growth-rate measure bound 1 + rho/sigma",
           _arg("--a", type=float, default=-2.55306095),
           _arg("--b", type=float, default=1.70036709),
-          _arg("--mode", choices=("raw", "shifted"), default="raw"))
+          _arg("--mode", choices=LEMMA4_MODES, default="raw"))
 def _cmd_lemma4(args):
     derived = lemma4_derivation(RVConstants(a=args.a, b=args.b), args.mode)
     bound = 1 + derived.rho / derived.sigma

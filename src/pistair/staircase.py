@@ -18,12 +18,12 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from . import config
-from .errors import DomainError, RangeError, ResourceLimitError
+from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
 from .euler import euler_product
 from .primes import PrimeTable, nth_prime, prime_count
 from .records import decimal_field
@@ -93,7 +93,8 @@ def tower_from_int(n: int) -> LogTower:
     """Tower for a positive integer of any size, rounded to nearest.
 
     Below 2^996 it is the nearest float (2^64 - 1 becomes 2^64); from there
-    on it is exp of the rounded ln n.
+    on it is exp of the rounded ln n.  So euclid_baseline(tower_from_int(n))
+    can overclaim for n just below 2^(2^k), k >= 6: it is 6 at n = 2^64 - 1.
     """
     if n <= 0:
         raise DomainError(f"towers represent positive values, got {n}")
@@ -397,7 +398,7 @@ def _first_sandwich_violation(lo: int, a: np.ndarray) -> int | None:
 # Staircase certificates
 # ---------------------------------------------------------------------------
 
-Q_MODES = ("factorial-squared", "power-2piN", "assumed-g")
+Q_MODES = ("factorial-squared", "power-2piN")
 
 
 @dataclass(frozen=True)
@@ -463,10 +464,10 @@ def _ln_upper(n: int) -> float:
     return _up(_up(math.log(top)) + _up(s * _up(LN2)))
 
 
-def _log_bounds(t: PrimeTable, n: int, m: int, q_mode: str, g) -> tuple[float, float]:
+def _log_bounds(t: PrimeTable, n: int, m: int, q_mode: str) -> tuple[float, float]:
     """Upper bounds on ln Q(n) and on ln(10 Q(n)^m + 1), for an integer n >= 2.
 
-    power-2piN bounds ln Q = 2 pi(n) ln n and assumed-g ln Q = ln g(n).
+    power-2piN bounds ln Q = 2 pi(n) ln n.
     factorial-squared takes Robbins's bound ln n! < n ln n - n + ln(2 pi n)/2
     + 1/(12 n), n >= 1 (H. Robbins, "A remark on Stirling's formula", Amer.
     Math. Monthly 62, 1955), with n between the floats next to float(n); from
@@ -474,12 +475,7 @@ def _log_bounds(t: PrimeTable, n: int, m: int, q_mode: str, g) -> tuple[float, f
     With u >= ln(10 Q^m) from these, ln(10 Q^m + 1) <= u + 1/(10 Q^m) <=
     u + e^(-u/2), since u overshoots ln(10 Q^m) >= ln 10 by far less than 2x.
     """
-    if q_mode == "assumed-g":
-        q_bound = g(n)
-        if not isinstance(q_bound, int) or q_bound < 1:
-            raise DomainError("assumed-g must return a positive integer bound")
-        ln_q = _ln_upper(q_bound)
-    elif q_mode == "power-2piN":
+    if q_mode == "power-2piN":
         ln_q = _up(2 * prime_count(t, n) * _ln_upper(n))
     elif n.bit_length() > 1000:
         return math.inf, math.inf
@@ -504,7 +500,7 @@ def _tower_up(level: int, r: float) -> LogTower:
     return LogTower(level, r)
 
 
-def _step(t: PrimeTable, index: int, start: "int | LogTower", m: int, q_mode: str, g,
+def _step(t: PrimeTable, index: int, start: "int | LogTower", m: int, q_mode: str,
           budget: int, q_cap: int) -> tuple[StaircaseStep | None, str | None]:
     """(the step from start, None), or (None, why there is none).
 
@@ -530,14 +526,12 @@ def _step(t: PrimeTable, index: int, start: "int | LogTower", m: int, q_mode: st
     if isinstance(start, int):
         if q_mode == "power-2piN" and start > t.limit:
             return None, f"pi({start}) unknown beyond the sieve limit {t.limit}"
-        ln_q, ln_end = _log_bounds(t, start, m, q_mode, g)
+        ln_q, ln_end = _log_bounds(t, start, m, q_mode)
     if ln_end <= budget * LN10:
         if q_mode == "factorial-squared":
             q_bound = math.factorial(start) ** 2
-        elif q_mode == "power-2piN":
-            q_bound = start ** (2 * prime_count(t, start))
         else:
-            q_bound = g(start)
+            q_bound = start ** (2 * prime_count(t, start))
         end = 10 * q_bound**m + 1
         ln_q, ln_end = math.log(q_bound), math.log(end)
         if start <= min(t.limit, q_cap):
@@ -552,8 +546,6 @@ def _step(t: PrimeTable, index: int, start: "int | LogTower", m: int, q_mode: st
         end = _tower_up(1, ln_end)
     elif q_mode == "power-2piN":
         return None, "pi(N) unknown at tower scale"
-    elif q_mode == "assumed-g":
-        return None, "assumed bound not evaluable at tower scale"
     else:
         ln_q = ln_end = None
         if isinstance(start, int):
@@ -576,15 +568,8 @@ def _step(t: PrimeTable, index: int, start: "int | LogTower", m: int, q_mode: st
     return step, None
 
 
-def staircase_certify(
-    t: PrimeTable,
-    b: float,
-    m: int | None,
-    q_mode: str,
-    N_start: int,
-    steps: int,
-    g: Callable[[int], int] | None = None,
-) -> StaircaseCertificate:
+def staircase_certify(t: PrimeTable, b: float, m: int | None, q_mode: str, N_start: int,
+                      steps: int) -> StaircaseCertificate:
     """Build a staircase of intervals (N_i, N_{i+1}] with N_{i+1} just above
     10 * Q(N_i)^m, where Q bounds the Euler denominator per q_mode.
 
@@ -611,10 +596,8 @@ def staircase_certify(
         raise RangeError(f"N_start={N_start} exceeds the sieve limit {t.limit}")
     if steps < 1:
         raise RangeError(f"steps must be >= 1, got {steps}")
-    if q_mode == "assumed-g" and g is None:
-        raise DomainError("assumed-g mode needs the bound function g")
     try:
-        ln_end_start = _log_bounds(t, N_start, m, q_mode, g)[1]
+        ln_end_start = _log_bounds(t, N_start, m, q_mode)[1]
     except OverflowError:  # m itself is beyond the float range
         ln_end_start = math.inf
     if ln_end_start == math.inf:
@@ -629,7 +612,7 @@ def staircase_certify(
     truncated = None
     current: "int | LogTower" = N_start
     for index in range(steps):
-        step, truncated = _step(t, index, current, m, q_mode, g, budget, q_cap)
+        step, truncated = _step(t, index, current, m, q_mode, budget, q_cap)
         if step is None:
             break
         chain.append(step)
@@ -646,23 +629,39 @@ def staircase_certify(
 
 
 def euclid_baseline(x: LogTower) -> int:
-    """Largest k >= 0 with 2^(2^k) <= x (0 when even k = 0 fails).
+    """Largest k >= 0 with 2^(2^k) <= x (0 when even k = 0 fails), exact at every level.
 
-    Exact at level 0: 2^(2^k) is an integer, so it is <= x exactly when it
-    is <= floor(x), and k = floor(log2 floor(log2 floor(x))) comes from bit
-    lengths.  Towers of level >= 1 go through log2 log2 x in floats.
+    At level 0, 2^(2^k) <= x exactly when 2^(2^k) <= floor(x): bit lengths.
+    At level L >= 1, k = max(0, floor t), t = (ln ln x - ln ln 2)/ln 2, where
+    ln ln x is ln r at level 1 and exp^(L-2)(r) above (r the mantissa).  t is
+    computed in decimal at (digits of floor t) + 20 digits, doubled until both
+    ends of t +- 10^(e + 8 - prec), e the exponent of max(|t|, 1), give one
+    count: every op rounds correctly, and the exps amplify a relative error
+    less than 2.1e4-fold while ln ln x fits a float.  That ends at level 1,
+    as e^r != 2^(2^k) for a rational r != 0 (Lindemann); above it only
+    Schanuel's conjecture says so, and the digit cap stops the doubling.
     """
     if x.level == 0:
         if x.mantissa < 2:
             return 0
         return (int(x.mantissa).bit_length() - 1).bit_length() - 1
-    lx = tower_ln(x)
-    flx = tower_to_float(lx)
-    if flx is not None:
-        if flx < LN2:
-            return 0
-        return max(0, math.floor(math.log2(flx / LN2)))
-    fllx = tower_to_float(tower_ln(lx))
-    if fllx is not None:
-        return math.floor((fllx - math.log(LN2)) / LN2)
-    raise ResourceLimitError("tower too deep: the doubling count exceeds float range")
+    if x.level <= 2 and x.mantissa < 2 - x.level:
+        return 0  # ln ln x < 0, so x < e < 4
+    lnln = tower_to_float(tower_ln(tower_ln(x)))  # sizes the first precision
+    if lnln is None:
+        raise ResourceLimitError("tower too deep: the doubling count exceeds float range")
+    prec = len(str(abs(math.floor(lnln / LN2)))) + 20
+    while prec <= config.digit_cap():
+        with localcontext() as ctx:
+            ctx.prec = prec
+            v = Decimal(x.mantissa).ln() if x.level == 1 else Decimal(x.mantissa)
+            for _ in range(x.level - 2):
+                v = v.exp()
+            ln2 = Decimal(2).ln()
+            t = (v - ln2.ln()) / ln2
+            err = Decimal(1).scaleb(max(t.adjusted(), 0) + 8 - prec)
+            k = max(0, math.floor(t - err))
+            if k == max(0, math.floor(t + err)):
+                return k
+        prec *= 2
+    raise PrecisionExhaustedError(f"doubling count of {x} not resolved within the digit cap")

@@ -24,8 +24,10 @@ from pistair import (
     zeta2_enclosure,
 )
 from pistair import cli, verify
+from pistair.approx import LEMMA4_MODES
 from pistair.cli import run_cli
 from pistair.errors import DomainError
+from pistair.staircase import Q_MODES
 
 
 def run(capsys, *args):
@@ -738,6 +740,19 @@ class TestCommandTable:
             assert argv[0] == "pistair", argv
             commands.add(parser.parse_args(argv[1:]).command)
         assert commands == set(cli.COMMANDS)
+
+    def test_mode_choices_are_the_library_declarations(self):
+        def choices(name):
+            (options,) = [o for flags, o in cli.COMMANDS[name].arguments if flags == ("--mode",)]
+            return options["choices"]
+
+        assert choices("staircase") is Q_MODES
+        assert choices("lemma4") is LEMMA4_MODES
+
+    @pytest.mark.parametrize("mode", Q_MODES)
+    def test_every_declared_staircase_mode_certifies(self, table100k, mode):
+        cert = staircase_certify(table100k, 5.45, 6, mode, 2, 1)
+        assert (cert.q_mode, len(cert.steps)) == (mode, 1)
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         def rebuilt():

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import random
 import types
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from pistair import (
     DomainError,
     LogTower,
     Ordering,
+    PrecisionExhaustedError,
     RangeError,
+    ResourceLimitError,
     default_exponent,
     euclid_baseline,
     power_tower,
@@ -31,6 +35,7 @@ from pistair import (
     tower_to_float,
 )
 from pistair import staircase
+from pistair.cli import run_cli
 from pistair.primes import nth_prime
 from pistair.staircase import (
     THEOREM3_CHUNK,
@@ -467,17 +472,6 @@ class TestStaircase:
         assert len(cert.steps) == 1
         assert cert.truncated_reason is not None
 
-    def test_assumed_g_mode(self, table100k):
-        cert = staircase_certify(
-            table100k, 5.45, 6, "assumed-g", 2, 2, g=lambda n: n * n
-        )
-        first = cert.steps[0]
-        assert first.q_bound == 4
-        assert first.end == 10 * 4**6 + 1
-        assert first.sieve_confirmed
-        second = cert.steps[1]
-        assert second.q_bound == 40961**2
-
     def test_lower_bound_staircase(self, table100k):
         cert = staircase_certify(table100k, 5.45, 6, "factorial-squared", 10, 3)
         bounds = cert.lower_bounds()
@@ -501,8 +495,6 @@ class TestStaircase:
             staircase_certify(table100k, 5.45, 6, "bogus", 2, 1)
         with pytest.raises(RangeError):
             staircase_certify(table100k, 5.45, 6, "factorial-squared", 1, 1)
-        with pytest.raises(DomainError):
-            staircase_certify(table100k, 5.45, 6, "assumed-g", 2, 1)
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, 1.0, 1.99])
     def test_measure_bound_below_two_refused(self, table100k, b):
@@ -556,6 +548,12 @@ class TestDirectedEnds:
         assert checked >= 18  # an int start and a level-4 start per chain
 
 
+with localcontext() as _ctx:
+    _ctx.prec = 60
+    LN2_60 = Decimal(2).ln()
+    LNLN2_60 = LN2_60.ln()
+
+
 class TestEuclidBaseline:
     def test_examples(self):
         assert euclid_baseline(tower_from_float(4)) == 1
@@ -603,3 +601,59 @@ class TestEuclidBaseline:
         for x in (4, 16, 256, 65536):
             k = euclid_baseline(tower_from_int(x))
             assert prime_count(table100k, x) >= k
+
+    @staticmethod
+    def exact_count(level, r):
+        """max(0, floor t), t = (ln ln x - ln ln 2)/ln 2, x = exp^level(r), in
+        decimal at 60 digits; refuses a t within 1e-30 of an integer."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            lnln = Decimal(r).ln() if level == 1 else Decimal(r)
+            for _ in range(level - 2):
+                lnln = lnln.exp()
+            t = (lnln - LNLN2_60) / LN2_60
+            k = math.floor(t)
+            assert min(t - k, k + 1 - t) > Decimal("1e-30"), (level, r)
+        return max(0, k)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_doubling_boundaries(self, level):
+        # mantissas within 2 ulps of exp^-level(2^(2^k)), for every k < 1000
+        cases = 0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for k in range(1000):
+                r = Decimal(2) ** k * LN2_60  # ln 2^(2^k)
+                for _ in range(level - 1):
+                    r = r.ln() if r > 0 else None
+                if r is None:
+                    continue
+                mid = float(r)
+                for m in [mid + d * math.ulp(mid) for d in range(-2, 3)]:
+                    assert euclid_baseline(LogTower(level, m)) == self.exact_count(level, m), (k, m)
+                    cases += 1
+        assert cases == 5000 if level < 3 else 4995
+
+    def test_workload_shapes(self):
+        # the CLI's tower_normalize(level, mantissa) at the benchmark's mantissas
+        rng = random.Random(20261019)
+        for level, mantissa in ((1, 2.0), (3, 1.5), (4, 1.2), (5, 1.2)):
+            for _ in range(300):
+                x = tower_normalize(level, float(f"{mantissa * (1 + 0.01 * rng.random()):.6f}"))
+                assert euclid_baseline(x) == self.exact_count(x.level, x.mantissa), x
+
+    def test_cli_below_ln_4(self, capsys):
+        # 1.3862943611198906 < ln 4 = 1.38629436111989061883..., so x < 4
+        assert run_cli(["euclid", "--level", "1", "--mantissa", "1.3862943611198906"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 0
+
+    def test_out_of_float_range_refused(self):
+        with pytest.raises(ResourceLimitError):
+            euclid_baseline(tower_normalize(6, 1.0))
+
+    def test_precision_stops_at_the_digit_cap(self, monkeypatch):
+        # one ulp below ln 4 needs a second, 42-digit round; 2.0 is settled in the first
+        monkeypatch.setenv("PISTAIR_DIGIT_CAP", "30")
+        assert euclid_baseline(LogTower(1, 2.0)) == 1
+        with pytest.raises(PrecisionExhaustedError):
+            euclid_baseline(LogTower(1, math.nextafter(math.log(4), 0.0)))
