@@ -18,7 +18,6 @@ from pistair import (
     theorem1_gate,
     theorem2_sequence,
     theorem3_sequence,
-    tower_from_int,
 )
 
 t = sieve(1_400_000)  # enough for p_100000 = 1299709
@@ -83,7 +82,7 @@ print("  The doubling-count baseline pi(x) >= k for x >= 2^(2^k)")
 print("=" * 72)
 print(f"\n{'x':>10} {'k from 2^(2^k)':>15} {'pi(x) actual':>13}")
 for x in (4, 16, 256, 65536):
-    k = euclid_baseline(tower_from_int(x))
+    k = euclid_baseline(x)
     print(f"{x:>10} {k:>15} {prime_count(t, x):>13}")
 # tower bases are a parameter: both N_0 and 14*N_0 variants can be formed
 t_plain = power_tower(5, 3)

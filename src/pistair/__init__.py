@@ -60,6 +60,7 @@ from .primes import (
     max_power_at_most,
     nth_prime,
     nth_prime_limit_estimate,
+    nth_primes,
     prime_count,
     sieve,
 )

@@ -31,11 +31,11 @@ from .approx import (
 )
 from .errors import PistairError, PrecisionExhaustedError
 from .euler import approximation_gap, euler_product, qn_bound_report
-from .primes import lcm_to, log_lcm_to, nth_prime_limit_estimate, sieve
+from .primes import lcm_to, log_lcm_to, nth_prime_limit_estimate, nth_primes, sieve
 from .records import decimal_str, rational_str, to_record
 from .staircase import (
-    Q_MODES, euclid_baseline, staircase_certify, theorem1_gate, theorem2_sequence,
-    theorem3_sequence, tower_normalize,
+    Q_MODES, THEOREM3_CHECKPOINTS, euclid_baseline, staircase_certify, theorem1_gate,
+    theorem2_sequence, theorem3_sequence, tower_normalize,
 )
 from .verify import SUITES, run_suite
 
@@ -134,9 +134,14 @@ def _meta(args) -> dict | None:
     }
 
 
+def _sieve_limit(args, minimum: int) -> int:
+    """`--sieve-limit`, or max(minimum, 3) without it."""
+    return max(minimum, 3) if args.sieve_limit is None else args.sieve_limit
+
+
 def _table_for(args, minimum: int):
-    """The prime table to `--sieve-limit`, or to max(minimum, 3) without it."""
-    return sieve(max(minimum, 3) if args.sieve_limit is None else args.sieve_limit)
+    """The prime table to `_sieve_limit(args, minimum)`."""
+    return sieve(_sieve_limit(args, minimum))
 
 
 # --- subcommands, in the order `--help` lists them ---------------------------
@@ -198,9 +203,13 @@ def _cmd_theorem2(args):
 @_command("theorem3", "a_{n+1} = a_n + log a_n sequence with sandwich check",
           _n, _arg("--sieve", action="store_true", help="compare a_n with p_n"), table=True)
 def _cmd_theorem3(args):
-    # without --sieve no table is built, and --sieve-limit goes unread
-    t = _table_for(args, nth_prime_limit_estimate(args.n)) if args.sieve else None
-    return [to_record(theorem3_sequence(args.n, t))], 0
+    # without --sieve nothing is sieved, and --sieve-limit goes unread; with
+    # it, the checkpoints are those <= n whose p_n lies within the limit
+    primes = None
+    if args.sieve:
+        limit = _sieve_limit(args, nth_prime_limit_estimate(args.n))
+        primes = nth_primes(limit, [n for n in THEOREM3_CHECKPOINTS if n <= args.n])
+    return [to_record(theorem3_sequence(args.n, primes))], 0
 
 @_command("staircase", "prime-gap staircase certificate",
           _arg("--mode", choices=Q_MODES, required=True),

@@ -101,47 +101,30 @@ def count_at_most(values: np.ndarray, key):
     return np.searchsorted(values, np.asarray(key, dtype=values.dtype), side="right")
 
 
+#: Flags that _collect hands np.nonzero at a time, so that no sieve holds
+#: the int64 positions of a whole segment's primes.
+_COLLECT_SLICE = 1 << 18
+
+
 def _collect(flags: np.ndarray, low: int, out: np.ndarray) -> int:
     """Write the odd numbers low + 2i whose flag is set to the front of out; return their count.
 
-    They are found in int64, as np.nonzero gives them, and cast into out's
-    dtype only as they are stored.
+    They are found in int64, as np.nonzero gives them, one slice of
+    _COLLECT_SLICE flags at a time, and cast into out's dtype only as they
+    are stored.
     """
-    found = flags.nonzero()[0]
-    found *= 2
-    found += low
-    out[: len(found)] = found
-    return len(found)
+    count = 0
+    for start in range(0, len(flags), _COLLECT_SLICE):
+        found = flags[start : start + _COLLECT_SLICE].nonzero()[0]
+        found *= 2
+        found += low + 2 * start
+        out[count : count + len(found)] = found
+        count += len(found)
+    return count
 
 
-def sieve(limit: int, segment_size: int | None = None) -> PrimeTable:
-    """Sieve of Eratosthenes up to limit (inclusive), odd-only and segmented.
-
-    One bool flag per odd number, in segments of segment_size integers
-    (rounded down to even; DEFAULT_SEGMENT_SIZE when None).  Each segment
-    starts as a copy of a precomputed pattern of period 15015 flags that
-    clears the multiples of 3, 5, 7, 11 and 13, so those five primes cost
-    no strikes.  Every other odd prime p <= sqrt(limit) strikes its odd
-    multiples from max(p^2, low) with one slice of step p.  The first
-    segment reaches at least sqrt(limit) and 13, and sieves itself; its
-    primes up to sqrt(limit) strike all later segments.  A table that fits
-    in one segment is therefore one pattern copy, a few slices and one
-    nonzero.
-
-    The default of 2^21 integers is 1 MiB of flags, half the 2 MiB
-    per-core L2 cache of the 2-core Xeon it was timed on (Python 3.11;
-    sizes 2^17 .. 2^23 interleaved, best of 7).  At 10^8 it took 0.16 s
-    against 0.49 s at 2^17, 0.22 s at 2^19, 0.18 s at 2^20, 0.19 s at 2^22
-    and 0.25 s at 2^23; at 2*10^8, 0.36 s against 0.43 s at 2^20 and
-    0.39 s at 2^22.  Smaller segments pay Python work per segment and
-    striking prime; larger ones outgrow the cache.  At 1.1*10^7 and
-    4.5*10^7, 2^20 was 3 to 5% faster than 2^21, and 2^22 within 8%.
-
-    Peak memory is one segment of flags and of its primes in int64 plus the
-    table itself, int32 below 2^31: 4 pi(limit) bytes, about 44 MB at the
-    2*10^8 cap.  The striking arithmetic (the primes to sqrt(limit), their
-    squares and first multiples) stays int64, where low + p cannot wrap.
-    """
+def _checked_page(limit: int, segment_size: int | None) -> int:
+    """Odd flags per segment, once limit and segment_size are known to be sieveable."""
     if limit < 2:
         raise RangeError(f"sieve limit must be >= 2, got {limit}")
     if segment_size is None:
@@ -154,8 +137,17 @@ def sieve(limit: int, segment_size: int | None = None) -> PrimeTable:
             f"sieve limit {limit} exceeds the configured cap {cap} "
             f"(raise {config.ENV_SIEVE_LIMIT} to override)"
         )
+    return segment_size // 2
+
+
+def _segments(limit: int, page: int):
+    """Yield (low, flags) per segment: flags[i] is whether low + 2i <= limit is prime.
+
+    In the first segment, low = 1 and the flag of 1 stands for 2.  The
+    flags are one buffer, refilled for the next segment once the consumer
+    asks for it.
+    """
     root = math.isqrt(limit)
-    page = segment_size // 2
     odds = (limit + 1) // 2  # flags of 1, 3, ..., the last odd number <= limit
     first = min(odds, max(page, (root + 1) // 2, len(_FIRST_FLAGS)))
     flags = np.empty(max(first, min(page, odds - first)), dtype=bool)
@@ -174,19 +166,14 @@ def sieve(limit: int, segment_size: int | None = None) -> PrimeTable:
             p = 2 * (i + k) + 1
             view[p * p // 2 :: p] = False
         i = top
-    # Rosser and Schoenfeld (1962), Corollary 1: pi(x) < 1.25506 x / log x
-    # for x > 1, tightest at x = 113.  Pages past the last prime are never
-    # touched, so they take address space but no memory.
-    table = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=int_dtype(limit))
-    count = _collect(view, 1, table)
-    table[0] = 2
     if first == odds:
-        return PrimeTable(limit, table[:count])
-
+        yield 1, view
+        return
     # the striking primes 17..sqrt(limit), past 2, 3, 5, 7, 11 and 13, in
     # int64 like all the striking arithmetic
-    base = table[6 : int(count_at_most(table[:count], root))].astype(np.int64)
+    base = 2 * view[8 : (root + 1) // 2].nonzero()[0] + 17
     squares = base * base
+    yield 1, view
     for low in range(2 * first + 1, limit + 1, 2 * page):
         view = flags[: min(page, (limit - low) // 2 + 1)]
         _fill(view, low)
@@ -195,8 +182,84 @@ def sieve(limit: int, segment_size: int | None = None) -> PrimeTable:
         starts += strikers * (starts % 2 == 0)  # the first odd multiple
         for p, j in zip(strikers.tolist(), ((starts - low) // 2).tolist()):
             view[j::p] = False
-        count += _collect(view, low, table[count:])
+        yield low, view
+
+
+def sieve(limit: int, segment_size: int | None = None) -> PrimeTable:
+    """Sieve of Eratosthenes up to limit (inclusive), odd-only and segmented.
+
+    One bool flag per odd number, in segments of segment_size integers
+    (rounded down to even; DEFAULT_SEGMENT_SIZE when None).  Each segment
+    starts as a copy of a precomputed pattern of period 15015 flags that
+    clears the multiples of 3, 5, 7, 11 and 13, so those five primes cost
+    no strikes.  Every other odd prime p <= sqrt(limit) strikes its odd
+    multiples from max(p^2, low) with one slice of step p.  The first
+    segment reaches at least sqrt(limit) and 13, and sieves itself; its
+    primes up to sqrt(limit) strike all later segments.  A table that fits
+    in one segment is therefore one pattern copy, a few slices and one
+    nonzero per slice of flags.  The segments come from one generator,
+    which nth_primes reads too.
+
+    The default of 2^21 integers is 1 MiB of flags, half the 2 MiB
+    per-core L2 cache of the 2-core Xeon it was timed on (Python 3.11;
+    sizes 2^17 .. 2^23 interleaved, best of 7).  At 10^8 it took 0.16 s
+    against 0.49 s at 2^17, 0.22 s at 2^19, 0.18 s at 2^20, 0.19 s at 2^22
+    and 0.25 s at 2^23; at 2*10^8, 0.36 s against 0.43 s at 2^20 and
+    0.39 s at 2^22.  Smaller segments pay Python work per segment and
+    striking prime; larger ones outgrow the cache.  At 1.1*10^7 and
+    4.5*10^7, 2^20 was 3 to 5% faster than 2^21, and 2^22 within 8%.
+
+    Peak memory is one segment of flags, the int64 positions of the primes
+    in one slice of _COLLECT_SLICE flags, and the table itself, int32 below
+    2^31: 4 pi(limit) bytes, about 44 MB at the 2*10^8 cap.  The striking
+    arithmetic (the primes to sqrt(limit), their squares and first
+    multiples) stays int64, where low + p cannot wrap.
+    """
+    page = _checked_page(limit, segment_size)
+    # Rosser and Schoenfeld (1962), Corollary 1: pi(x) < 1.25506 x / log x
+    # for x > 1, tightest at x = 113.  Pages past the last prime are never
+    # touched, so they take address space but no memory.
+    table = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=int_dtype(limit))
+    count = 0
+    for low, flags in _segments(limit, page):
+        count += _collect(flags, low, table[count:])
+    table[0] = 2
     return PrimeTable(limit, table[:count])
+
+
+def nth_primes(limit: int, ns) -> dict[int, int]:
+    """{n: p_n} for each index n in ns whose prime p_n is <= limit, by a sieve that keeps no table.
+
+    Each segment of sieve is counted with np.count_nonzero, and only a
+    segment that holds a wanted p_n is collected, so memory stays at one
+    segment of flags and the primes of one segment, whatever the limit:
+    `theorem3 --n 1000000 --sieve`, which wants p_(10^6) from a sieve to
+    1.66*10^7, traces ~2.3 MB, where the table alone took 4.2 MB.  The
+    sieve stops at the segment of the largest wanted p_n.  limit is checked
+    as sieve checks it, before any work.
+    """
+    wanted = sorted(set(ns), reverse=True)  # popped from the end, smallest first
+    if wanted and wanted[-1] < 1:
+        raise RangeError(f"prime index must be >= 1, got {wanted[-1]}")
+    page = _checked_page(limit, None)
+    found: dict[int, int] = {}
+    if not wanted:
+        return found
+    count = 0  # primes below this segment
+    for low, flags in _segments(limit, page):
+        here = int(np.count_nonzero(flags))
+        if wanted[-1] <= count + here:
+            primes = np.empty(here, dtype=int_dtype(limit))
+            _collect(flags, low, primes)
+            if low == 1:
+                primes[0] = 2  # the flag of 1 stands for 2
+            while wanted and wanted[-1] <= count + here:
+                n = wanted.pop()
+                found[n] = int(primes[n - count - 1])
+            if not wanted:
+                break
+        count += here
+    return found
 
 
 def prime_count(t: PrimeTable, x) -> int:

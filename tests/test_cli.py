@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from pistair import (
     sieve,
     staircase_certify,
     theorem1_gate,
+    theorem3_sequence,
+    to_record,
     zeta2_enclosure,
 )
 from pistair import cli, verify
@@ -290,6 +293,37 @@ class TestDispatch:
         (record,) = json_lines(out)
         assert record["checkpoints"]
         assert record["checkpoints"][0]["p_n"] == 7919  # p_1000
+
+    @pytest.mark.parametrize("limit", [7918, 7919, 104728, 104729, 10**6])
+    def test_theorem3_sieve_limit_matches_a_table(self, capsys, limit):
+        # p_1000 = 7919 and p_10000 = 104729: the checkpoints are the 10^k <= n
+        # whose p_n lies within the limit, as with the whole table
+        code, out, _ = run(capsys, "theorem3", "--n", "20000", "--sieve", "--sieve-limit", str(limit))
+        assert code == 0
+        assert json_lines(out) == [to_record(theorem3_sequence(20_000, sieve(limit)))]
+
+    def test_theorem3_sieve_counts_primes_in_little_memory(self, capsys, monkeypatch):
+        # no prime table: the sieve's segments are counted, and one is kept
+        monkeypatch.setattr(cli, "sieve", None)
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "theorem3", "--n", "1000000", "--sieve")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert [c["p_n"] for c in json_lines(out)[0]["checkpoints"]] == [
+            7919, 104729, 1299709, 15485863
+        ]
+        assert peak <= 3_000_000
+
+    def test_theorem3_sieve_past_the_cap_refused_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setenv("PISTAIR_SIEVE_LIMIT", "5000")
+        monkeypatch.setattr(pistair.primes, "_segments", None)
+        monkeypatch.setattr(cli, "theorem3_sequence", None)
+        code, out, err = run(capsys, "theorem3", "--n", "1000", "--sieve")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ResourceLimitError"
 
     def test_staircase(self, capsys):
         code, out, _ = run(

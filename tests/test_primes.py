@@ -14,12 +14,16 @@ from pistair import (
     log_lcm_to,
     max_power_at_most,
     nth_prime,
+    nth_primes,
     prime_count,
     sieve,
     verify,
 )
 from pistair.euler import FACTORED_FROM, euler_product
-from pistair.primes import DEFAULT_SEGMENT_SIZE, PRODUCT_LEAF, _collect, int_dtype, product_tree
+from pistair import primes
+from pistair.primes import (
+    _COLLECT_SLICE, DEFAULT_SEGMENT_SIZE, PRODUCT_LEAF, _collect, int_dtype, product_tree,
+)
 
 
 def trial_division_primes(limit):
@@ -160,6 +164,15 @@ class TestSieve:
         assert out[:count].tolist() == [2**31 + 1 + 2 * i for i in np.flatnonzero(flags).tolist()]
 
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_collect_across_slice_edges(self, dtype):
+        flags = np.random.default_rng(1).random(2 * _COLLECT_SLICE + 5) < 0.1
+        flags[[0, _COLLECT_SLICE - 1, _COLLECT_SLICE, 2 * _COLLECT_SLICE]] = True
+        out = np.empty(len(flags), dtype=dtype)
+        count = _collect(flags, 1001, out)
+        assert out[:count].tolist() == (1001 + 2 * np.flatnonzero(flags)).tolist()
+
+
 class TestTypedKeys:
     """Every lookup in a table hands numpy its key in the table's dtype.
 
@@ -236,6 +249,49 @@ class TestNthPrime:
     def test_error_carries_estimate(self, table3k):
         with pytest.raises(RangeError, match="roughly"):
             nth_prime(table3k, 10**6)
+
+
+class TestNthPrimes:
+    def test_every_index_in_one_segment(self):
+        limit = 20_000
+        table = sieve(limit).primes.tolist()
+        ns = range(1, len(table) + 3)
+        assert nth_primes(limit, ns) == {n: table[n - 1] for n in range(1, len(table) + 1)}
+
+    def test_default_segment_edges(self):
+        # the first two segments end at 2^21 and 2^22: the primes on both sides
+        limit = 2 * DEFAULT_SEGMENT_SIZE + 1000
+        table = sieve(limit).primes
+        ns = [1, 2, 3, 6, 7, len(table) - 1, len(table)]
+        for edge in (DEFAULT_SEGMENT_SIZE, 2 * DEFAULT_SEGMENT_SIZE):
+            i = int(np.searchsorted(table, edge))
+            ns += [i - 1, i, i + 1, i + 2]
+        assert nth_primes(limit, ns) == {n: int(table[n - 1]) for n in ns}
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_limits_around_p_10_to_k(self, bigtable, k):
+        # the CLI's checkpoints: 10^j whose prime lies within the limit
+        ns = [10**j for j in range(3, 8)]
+        p = nth_prime(bigtable, 10**k)
+        for limit in (p - 1, p, p + 1):
+            count = prime_count(bigtable, limit)
+            expected = {n: nth_prime(bigtable, n) for n in ns if n <= count}
+            assert nth_primes(limit, ns) == expected
+            assert (10**k in expected) == (limit >= p)
+
+    def test_nothing_wanted_sieves_nothing(self, monkeypatch):
+        monkeypatch.setattr(primes, "_segments", None)
+        assert nth_primes(10**6, []) == {}
+
+    def test_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(primes, "_segments", None)  # any sieving would raise
+        monkeypatch.setenv("PISTAIR_SIEVE_LIMIT", "1000")
+        with pytest.raises(ResourceLimitError):
+            nth_primes(2000, [10])
+        with pytest.raises(RangeError, match="sieve limit must be >= 2"):
+            nth_primes(1, [1])
+        with pytest.raises(RangeError, match="prime index"):
+            nth_primes(100, [0, 5])
 
 
 class TestMaxPower:

@@ -38,7 +38,9 @@ from pistair import staircase
 from pistair.cli import run_cli
 from pistair.primes import nth_prime
 from pistair.staircase import (
+    LOG_ULPS,
     THEOREM3_CHUNK,
+    THEOREM3_VECTOR_FROM,
     GapRecursionCheckpoint,
     GapRecursionReport,
     _first_sandwich_violation,
@@ -320,12 +322,31 @@ class TestGapRecursion:
     EDGE = THEOREM3_CHUNK + 1
 
     @pytest.mark.parametrize(
-        "n_max", [2, 3, THEOREM3_CHUNK - 1, THEOREM3_CHUNK, EDGE, EDGE + 1, 10**5]
+        "n_max", [2, 3, THEOREM3_CHUNK - 1, THEOREM3_CHUNK, EDGE, EDGE + 1, 10**5, 10**6]
     )
     def test_matches_stepwise_loop(self, n_max):
         assert dataclasses.asdict(theorem3_sequence(n_max)) == dataclasses.asdict(
             gap_recursion_stepwise(n_max)
         )
+
+    @pytest.mark.parametrize("n_max", [2, 3, THEOREM3_CHUNK, EDGE, EDGE + 1, 10**5, 10**6])
+    def test_matches_stepwise_loop_with_table(self, bigtable, n_max):
+        ours = theorem3_sequence(n_max, bigtable)
+        marks = [c.n for c in ours.checkpoints]
+        assert marks == [n for n in (10**3, 10**4, 10**5, 10**6) if n <= n_max]
+        ref = gap_recursion_stepwise(n_max, bigtable, checkpoints=marks)
+        assert dataclasses.asdict(ours) == dataclasses.asdict(ref)
+        floats = [ours.a_final, ours.min_increment] + [c.a_n for c in ours.checkpoints]
+        assert all(type(v) is float for v in floats)
+
+    def test_prime_mapping_as_table(self, table100k):
+        primes = {n: nth_prime(table100k, n) for n in (1000, 5000)}
+        ours = theorem3_sequence(5000, primes)
+        assert dataclasses.asdict(ours) == dataclasses.asdict(
+            theorem3_sequence(5000, table100k, checkpoints=[1000, 5000])
+        )
+        with pytest.raises(RangeError, match="no p_n"):
+            theorem3_sequence(5000, primes, checkpoints=[1000, 2000])
 
     @pytest.mark.parametrize("n", [3, 100, EDGE, 2 * EDGE - 1, 2 * EDGE + 4])
     def test_min_increment_is_measured(self, monkeypatch, n):
@@ -340,6 +361,30 @@ class TestGapRecursion:
         smallest = 1.0 if n == n_max else (a_n + 0.5) - a_n
         assert theorem3_sequence(n_max).min_increment == smallest
 
+    def test_min_increment_is_measured_in_the_vector_regime(self, monkeypatch):
+        # the planted step is the last of a block solved as a fixed point, so
+        # its error reaches only the start of the next block
+        n = 2 + 5 * THEOREM3_CHUNK - 1
+        n_max = n + THEOREM3_CHUNK
+        a_n = theorem3_sequence(n_max, checkpoints=[n]).checkpoints[0].a_n
+        assert a_n > 1.2 * THEOREM3_VECTOR_FROM
+        real_log = np.log
+        monkeypatch.setattr(staircase, "math", types.SimpleNamespace(
+            **{**vars(math), "log": lambda a: 0.5 if a == a_n else math.log(a)}
+        ))
+        monkeypatch.setattr(staircase, "np", types.SimpleNamespace(
+            **{**vars(np), "log": lambda x: np.where(x == a_n, 0.5, real_log(x))}
+        ))
+        solved = []
+        real_block = staircase._fixed_point_block
+        monkeypatch.setattr(
+            staircase, "_fixed_point_block",
+            lambda a, m: solved.append(real_block(a, m)) or solved[-1],
+        )
+        assert theorem3_sequence(n_max).min_increment == (a_n + 0.5) - a_n
+        assert len(solved) == 2 and all(x is not None for x in solved)
+        assert any(np.any(np.diff(x) == 0.5) for x in solved)
+
     def test_checkpoints_across_block_edges(self, table100k):
         edge = self.EDGE  # the second block holds edge + 1 .. 2 * edge - 1
         n_max = 2 * edge + 1
@@ -348,6 +393,110 @@ class TestGapRecursion:
             ours = theorem3_sequence(n_max, t, checkpoints=marks)
             ref = gap_recursion_stepwise(n_max, t, checkpoints=marks)
             assert dataclasses.asdict(ours) == dataclasses.asdict(ref)
+
+
+def scalar_block(a, m):
+    """The scalar loop a += math.log(a): a_0 .. a_m."""
+    out = [a]
+    for _ in range(m):
+        a += math.log(a)
+        out.append(a)
+    return out
+
+
+class TestFixedPointBlock:
+    @given(
+        a=st.floats(THEOREM3_VECTOR_FROM, 2.0**50, allow_nan=False, allow_infinity=False),
+        m=st.integers(1, 5000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_loop(self, a, m):
+        x = staircase._fixed_point_block(a, m)
+        assert x is not None  # converged and every re-checked step agreed
+        assert x.tolist() == scalar_block(a, m)
+
+    @pytest.fixture
+    def planted_np(self, monkeypatch):
+        def plant(log):
+            monkeypatch.setattr(staircase, "np", types.SimpleNamespace(**{**vars(np), "log": log}))
+        return plant
+
+    def test_log_off_by_fewer_than_log_ulps_keeps_the_scalar_bits(self, planted_np):
+        # a third of the steps, picked by floor(x), get a log off by
+        # LOG_ULPS - 1 ulps either way, the most the check allows; the scalar
+        # loop keeps math.log.  floor(x) settles after a pass or two, so the
+        # passes still converge
+        real_log = np.log
+
+        def off_log(x):
+            y = real_log(x)
+            key = np.floor(x).astype(np.int64)
+            ulps = np.where(key % 2 == 0, LOG_ULPS - 1, 1 - LOG_ULPS)
+            ulps[key % 3 != 0] = 0
+            return y + ulps * np.spacing(y)
+
+        planted_np(off_log)
+        for a in (THEOREM3_VECTOR_FROM, 3.1e5, 1e6, 2.0**40):
+            for m in (1, 100, THEOREM3_CHUNK):
+                assert staircase._recursion_block(a, m).tolist() == scalar_block(a, m)
+        assert dataclasses.asdict(theorem3_sequence(60_000)) == dataclasses.asdict(
+            gap_recursion_stepwise(60_000)
+        )
+
+    def test_log_off_by_fewer_than_log_ulps_at_the_margin(self, planted_np):
+        # at one step the planted log is LOG_ULPS - 1 ulps above math.log, whose
+        # sum rounds the other way within LOG_ULPS / 4 ulps: a check with a
+        # margin below 3/4 of LOG_ULPS sees both ends of its bracket round as
+        # the planted log does, and accepts the planted path
+        a, m = THEOREM3_VECTOR_FROM, THEOREM3_CHUNK
+        xs = scalar_block(a, m)
+        logs = [math.log(u) for u in xs[:-1]]
+        j = next(
+            i for i in range(m)
+            if xs[i] + (logs[i] + LOG_ULPS // 4 * math.ulp(logs[i])) != xs[i + 1]
+        )
+        planted = logs[j] + (LOG_ULPS - 1) * math.ulp(logs[j])
+        real_log = np.log
+        planted_np(lambda x: np.where(x == xs[j], planted, real_log(x)))
+        assert staircase._recursion_block(a, m).tolist() == xs
+
+    def test_passes_that_never_converge_run_the_loop(self, planted_np, monkeypatch):
+        # every call moves the log by a different relative 1e-9
+        calls = []
+        real_log = np.log
+        planted_np(lambda x: calls.append(1) or real_log(x) * (1 + 1e-9 * len(calls)))
+        a = 1e6
+        assert staircase._fixed_point_block(a, THEOREM3_CHUNK) is None
+        assert len(calls) == staircase.THEOREM3_PASSES
+        logs = []
+        monkeypatch.setattr(staircase, "math", types.SimpleNamespace(
+            **{**vars(math), "log": lambda v: logs.append(1) or math.log(v)}
+        ))
+        assert staircase._recursion_block(a, THEOREM3_CHUNK).tolist() == scalar_block(
+            a, THEOREM3_CHUNK
+        )
+        assert len(logs) >= THEOREM3_CHUNK  # every step, by the scalar loop
+
+    def test_disagreeing_recheck_runs_the_loop(self, monkeypatch):
+        # a math.log that differs from np.log at every step where the rounding
+        # could depend on it: the block must be the scalar loop of that log
+        odd = types.SimpleNamespace(**{**vars(math), "log": lambda v: math.log(v) + 2e-9})
+        monkeypatch.setattr(staircase, "math", odd)
+        a = float(THEOREM3_VECTOR_FROM)
+        got = staircase._recursion_block(a, THEOREM3_CHUNK).tolist()
+        ref = [a]
+        for _ in range(THEOREM3_CHUNK):
+            a += math.log(a) + 2e-9
+            ref.append(a)
+        assert got == ref
+
+
+def test_np_log_agrees_with_math_log():
+    # the fixed point's one assumption, far inside its LOG_ULPS margin: np.log
+    # within 2 ulps of math.log on 10^6 doubles in [2^17, 2^60]
+    x = np.exp2(np.random.default_rng(20261019).uniform(17, 60, 10**6))
+    ref = np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=len(x))
+    assert np.max(np.abs(np.log(x) - ref) / np.spacing(ref)) <= 2
 
 
 def test_first_sandwich_violation_is_the_first_failing_n():
@@ -569,6 +718,32 @@ class TestEuclidBaseline:
 
     def test_e_to_the_e(self):
         assert euclid_baseline(tower_normalize(2, 1.0)) == 1
+
+    def test_ints_count_exactly(self):
+        def exact(n):
+            k = 0
+            while n >= 1 << (1 << (k + 1)):
+                k += 1
+            return k
+
+        for k in range(25):
+            x = 1 << (1 << k)  # 2^(2^k)
+            for n in (x - 1, x, x + 1):
+                assert euclid_baseline(n) == exact(n) == (k if n >= x else max(k - 1, 0)), n
+        assert [euclid_baseline(n) for n in (-5, 0, 1)] == [0, 0, 0]
+        # tower_from_int rounds 2^64 - 1 to the float 2^64
+        assert euclid_baseline(2**64 - 1) == 5
+        assert euclid_baseline(tower_from_int(2**64 - 1)) == 6
+
+    def test_ln2_memo_is_per_precision(self):
+        staircase._ln2_and_lnln2.cache_clear()
+        first = [euclid_baseline(LogTower(1, r)) for r in (2.0, 2.5, 3.0)]
+        info = staircase._ln2_and_lnln2.cache_info()
+        assert (info.misses, info.hits) == (1, 2)  # one precision, computed once
+        with localcontext() as ctx:
+            ctx.prec = 21
+            assert staircase._ln2_and_lnln2(21) == (Decimal(2).ln(), Decimal(2).ln().ln())
+        assert [euclid_baseline(LogTower(1, r)) for r in (2.0, 2.5, 3.0)] == first
 
     def test_level_zero_is_exact(self):
         def exact(x):
