@@ -25,7 +25,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import config
 from .errors import DomainError, PrecisionExhaustedError, ResourceLimitError
@@ -273,21 +272,6 @@ def zeta2_enclosure(digits: int) -> RealEnclosure:
             f"digits={digits} exceeds the configured cap {cap} "
             f"(raise {config.ENV_DIGIT_CAP} to override)"
         )
-    return _zeta2_cached(digits)
-
-
-def digit_ladder(digits: int) -> list[int]:
-    """Working digits for refining an enclosure: digits, doubled up to the cap."""
-    if digits < 1:
-        raise DomainError(f"digits must be >= 1, got {digits}")
-    ladder, cap = [digits], config.digit_cap()
-    while ladder[-1] < cap:
-        ladder.append(min(2 * ladder[-1], cap))
-    return ladder
-
-
-@lru_cache(maxsize=64)
-def _zeta2_cached(digits: int) -> RealEnclosure:
     m = digits + GUARD_DIGITS
     scale = 10**m
     a5_lo, a5_hi = _arctan_recip_scaled(5, scale)
@@ -307,6 +291,16 @@ def _zeta2_cached(digits: int) -> RealEnclosure:
         _fraction_over_smooth(pi_lo * pi_lo, 2 * m + 1, 1, 2 * m),
         _fraction_over_smooth(pi_hi * pi_hi, 2 * m + 1, 1, 2 * m),
     )
+
+
+def digit_ladder(digits: int) -> list[int]:
+    """Working digits for refining an enclosure: digits, doubled up to the cap."""
+    if digits < 1:
+        raise DomainError(f"digits must be >= 1, got {digits}")
+    ladder, cap = [digits], config.digit_cap()
+    while ladder[-1] < cap:
+        ladder.append(min(2 * ladder[-1], cap))
+    return ladder
 
 
 def _fraction_over_smooth(numerator: int, twos: int, threes: int, fives: int) -> Fraction:

@@ -165,18 +165,23 @@ class QnBoundReport:
     q_divides_prod: bool
 
 
-def qn_bound_report(t: PrimeTable, N: int) -> QnBoundReport:
-    """Check q_N <= prod_{p<=N}(p^2-1) <= N^(2 pi(N)) and q_N <= (N!)^2 exactly."""
-    if N < 1:
-        raise RangeError(f"N must be >= 1, got {N}")
-    if N > t.limit:
-        raise RangeError(f"bound report at {N} needs a sieve beyond {t.limit}")
+def _check_factorial_cap(N: int) -> None:
+    """Refuse an N past the factorial cap before (N!)-sized integers are built."""
     cap = config.factorial_cap()
     if N > cap:
         raise ResourceLimitError(
             f"N={N} exceeds the factorial cap {cap} "
             f"(raise {config.ENV_FACTORIAL_CAP} to override)"
         )
+
+
+def qn_bound_report(t: PrimeTable, N: int) -> QnBoundReport:
+    """Check q_N <= prod_{p<=N}(p^2-1) <= N^(2 pi(N)) and q_N <= (N!)^2 exactly."""
+    if N < 1:
+        raise RangeError(f"N must be >= 1, got {N}")
+    if N > t.limit:
+        raise RangeError(f"bound report at {N} needs a sieve beyond {t.limit}")
+    _check_factorial_cap(N)
     k = prime_count(t, N)
     q = _product(t, k).denominator
     prod = product_tree([p * p - 1 for p in t.primes[:k].tolist()])
@@ -197,15 +202,17 @@ def qn_bound_report(t: PrimeTable, N: int) -> QnBoundReport:
 def tail_product_upper(f_value) -> Fraction:
     """Rational U bounding |pi^2/6 - p_N/q_N| when (N, f] holds no prime.
 
-    Two bounds are combined: the coarse 10/f and the sharper chain
-    zeta2_hi * (exp_upper(1/f^2 + 1/f) - 1); the smaller is returned.
+    U = zeta2_hi * (exp_upper(s) - 1) = zeta2_hi * (s + s^2) with
+    s = 1/f + 1/f^2.  It is below the coarse bound 10/f for every f >= 2:
+    there s <= 1.5/f and s <= 0.75, so s + s^2 <= 1.75 s <= 2.625/f and
+    U < 1.645 * 2.625/f < 4.32/f.  The ratio U f / 10 falls with f, so its
+    largest value is 0.432, at f = 2.
     """
     f = as_rational(f_value)
     if f < 2:
         raise DomainError(f"tail bound requires f >= 2, got {f}")
     s = 1 / f + 1 / (f * f)
-    sharper = zeta2_enclosure(30).hi * (rational_exp_upper(s) - 1)
-    return min(Fraction(10) / f, sharper)
+    return zeta2_enclosure(30).hi * (rational_exp_upper(s) - 1)
 
 
 @dataclass(frozen=True)

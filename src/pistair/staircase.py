@@ -20,13 +20,12 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from functools import lru_cache
 
 import numpy as np
 
 from . import config
 from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
-from .euler import euler_product
+from .euler import _check_factorial_cap, euler_product
 from .primes import PrimeTable, nth_prime, prime_count
 from .records import decimal_field
 
@@ -231,12 +230,7 @@ def theorem1_first_passing(t: PrimeTable, n_max: int = 100) -> int | None:
 
 def theorem1_gate(t: PrimeTable, N: int) -> FactorialGate:
     """The factorial gate 10 * q_N^6 < (N!)^14 by exact integer comparison."""
-    cap = config.factorial_cap()
-    if N > cap:
-        raise ResourceLimitError(
-            f"N={N} exceeds the factorial cap {cap} "
-            f"(raise {config.ENV_FACTORIAL_CAP} to override)"
-        )
+    _check_factorial_cap(N)
     q = euler_product(t, N).value.denominator
     f = math.factorial(N) ** 14
     lhs = 10 * q**6
@@ -722,19 +716,6 @@ def staircase_certify(t: PrimeTable, b: float, m: int | None, q_mode: str, N_sta
     )
 
 
-@lru_cache(maxsize=None)
-def _ln2_and_lnln2(prec: int) -> tuple[Decimal, Decimal]:
-    """ln 2 and ln ln 2 in decimal at prec digits.
-
-    Keyed on the precision alone, so the memo holds at most one entry per
-    precision euclid_baseline's doubling reaches below the digit cap.
-    """
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ln2 = Decimal(2).ln()
-        return ln2, ln2.ln()
-
-
 def euclid_baseline(x: LogTower | int) -> int:
     """Largest k >= 0 with 2^(2^k) <= x (0 when even k = 0 fails), exact at every level.
 
@@ -751,7 +732,6 @@ def euclid_baseline(x: LogTower | int) -> int:
     less than 2.1e4-fold while ln ln x fits a float.  That ends at level 1,
     as e^r != 2^(2^k) for a rational r != 0 (Lindemann); above it only
     Schanuel's conjecture says so, and the digit cap stops the doubling.
-    ln 2 and ln ln 2 are computed once per precision.
     """
     if isinstance(x, int) or x.level == 0:
         n = x if isinstance(x, int) else math.floor(x.mantissa)
@@ -768,7 +748,8 @@ def euclid_baseline(x: LogTower | int) -> int:
             v = Decimal(x.mantissa).ln() if x.level == 1 else Decimal(x.mantissa)
             for _ in range(x.level - 2):
                 v = v.exp()
-            ln2, lnln2 = _ln2_and_lnln2(prec)
+            ln2 = Decimal(2).ln()
+            lnln2 = ln2.ln()
             t = (v - lnln2) / ln2
             err = Decimal(1).scaleb(max(t.adjusted(), 0) + 8 - prec)
             k = max(0, math.floor(t - err))

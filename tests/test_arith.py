@@ -185,20 +185,25 @@ class TestZeta2Enclosure:
         with pytest.raises(ResourceLimitError):
             zeta2_enclosure(51)
 
-    def test_width_contract_raises(self, monkeypatch):
-        # an arctan bracket 10^GUARD_DIGITS units wide breaks the width
-        # contract; an explicit raise, not an assert, so python -O keeps it
-        def widened(x, scale):
-            lo, hi = _arctan_recip_scaled(x, scale)
-            return lo - 10**GUARD_DIGITS, hi + 10**GUARD_DIGITS
+    @staticmethod
+    def widened_arctan(x, scale):
+        # an arctan bracket 10^GUARD_DIGITS units wide breaks the width contract
+        lo, hi = _arctan_recip_scaled(x, scale)
+        return lo - 10**GUARD_DIGITS, hi + 10**GUARD_DIGITS
 
-        monkeypatch.setattr(arith, "_arctan_recip_scaled", widened)
-        arith._zeta2_cached.cache_clear()
-        try:
-            with pytest.raises(PrecisionExhaustedError, match="wider than 10\\^-20"):
-                zeta2_enclosure(20)
-        finally:
-            arith._zeta2_cached.cache_clear()
+    def test_width_contract_raises(self, monkeypatch):
+        # an explicit raise, not an assert, so python -O keeps it
+        monkeypatch.setattr(arith, "_arctan_recip_scaled", self.widened_arctan)
+        with pytest.raises(PrecisionExhaustedError, match="wider than 10\\^-20"):
+            zeta2_enclosure(20)
+
+    def test_every_call_recomputes(self, monkeypatch):
+        # no enclosure is kept between calls: after a good call at 20 digits,
+        # a widened arctan still reaches the width contract at 20 digits
+        zeta2_enclosure(20)
+        monkeypatch.setattr(arith, "_arctan_recip_scaled", self.widened_arctan)
+        with pytest.raises(PrecisionExhaustedError, match="wider than 10\\^-20"):
+            zeta2_enclosure(20)
 
     @pytest.mark.parametrize("counts", [range(1, 401), [1900], [2100], [9990]], ids=str)
     def test_endpoints_equal_the_gcd_path(self, counts):
@@ -216,7 +221,6 @@ class TestZeta2Enclosure:
         def refuse(*args):
             raise AssertionError("gcd called")
 
-        arith._zeta2_cached.cache_clear()
         monkeypatch.setattr(fractions.math, "gcd", refuse)
         enc = zeta2_enclosure(1900)
         assert SANDWICH_LO < enc.lo < enc.hi < SANDWICH_HI

@@ -735,16 +735,6 @@ class TestEuclidBaseline:
         assert euclid_baseline(2**64 - 1) == 5
         assert euclid_baseline(tower_from_int(2**64 - 1)) == 6
 
-    def test_ln2_memo_is_per_precision(self):
-        staircase._ln2_and_lnln2.cache_clear()
-        first = [euclid_baseline(LogTower(1, r)) for r in (2.0, 2.5, 3.0)]
-        info = staircase._ln2_and_lnln2.cache_info()
-        assert (info.misses, info.hits) == (1, 2)  # one precision, computed once
-        with localcontext() as ctx:
-            ctx.prec = 21
-            assert staircase._ln2_and_lnln2(21) == (Decimal(2).ln(), Decimal(2).ln().ln())
-        assert [euclid_baseline(LogTower(1, r)) for r in (2.0, 2.5, 3.0)] == first
-
     def test_level_zero_is_exact(self):
         def exact(x):
             n, k = int(x), 0
