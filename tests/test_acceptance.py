@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from pistair import verify
+from pistair import sieve, theorem1_gate, verify
 
 
 @contextmanager
@@ -74,6 +74,15 @@ def test_criterion_7_factorial_gate():
     with criterion(7, "gate fails at N=1 and holds for 2..200", 10):
         verify.gate_fails_at_one()
         verify.gate_holds(200)
+
+
+def test_gate_power_is_exact_to_the_factorial_cap():
+    # f comes from the checked FFT chain from N = 355 on; the reference is
+    # the running product N!^14 = (N-1)!^14 N^14, with no power of a big int
+    t, reference = sieve(2000), 1
+    for N in range(1, 2001):
+        reference *= N**14
+        assert theorem1_gate(t, N).f == reference
 
 
 def test_criterion_8_continued_fractions():

@@ -1,8 +1,10 @@
 import fractions
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,8 @@ from pistair import (
 )
 from pistair import arith
 from pistair.arith import (
-    GUARD_DIGITS, _arctan_recip_scaled, _fraction_over_smooth, digit_ladder, neg_log_gaps,
+    FFT_FROM_BITS, GUARD_DIGITS, _arctan_recip_scaled, _fraction_over_smooth, digit_ladder,
+    int_power, neg_log_gaps,
 )
 
 
@@ -455,3 +458,80 @@ def test_taylor_enclosure_refuses_fewer_than_one_term(terms):
     # with no terms the bounds would be [0, 2], which misses exp(1)
     with pytest.raises(DomainError, match="terms"):
         exp_taylor_enclosure(1, terms)
+
+
+@st.composite
+def powers(draw):
+    """(x, e): x from 1 bit to 200k bits, odd part times 2^shift, 2 <= e <= 20.
+
+    Many of the odd parts start below FFT_FROM_BITS and cross it on the way
+    to x^e; x e stays within ~1.2M bits, so the reference x ** e stays cheap.
+    """
+    bits = draw(st.one_of(st.integers(1, 64), st.integers(1_000, 40_000),
+                          st.integers(40_000, 200_000)))
+    odd = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits) | 1 | 1 << (bits - 1)
+    shift = draw(st.one_of(st.just(0), st.integers(1, 5_000)))
+    e = draw(st.integers(2, max(2, min(20, 1_200_000 // bits))))
+    return odd << shift, e
+
+
+class TestIntPower:
+    # the gate's largest power: 2000! = 2^1994 o, o of 17059 bits, so every
+    # step of o^14 runs by FFT: "110" are the bits of 14 after the top one
+    X = math.factorial(2000)
+    O = X >> 1994
+
+    @given(powers())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_builtin_power(self, xe):
+        x, e = xe
+        assert int_power(x, e) == x**e
+
+    @pytest.mark.parametrize(
+        "x", [-(3**20), -1, 0, 1, 2**5000, 3**20000, 2**31 - 1, 2**20015 - 1],
+        ids=["-3^20", "-1", "0", "1", "2^5000", "3^20000", "2^31-1", "2^20015-1"],
+    )
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, 14])
+    def test_edge_bases_and_exponents(self, x, e):
+        # 2^(16k + 15) - 1 needs k + 2 balanced digits, one more than its bits suggest
+        assert int_power(x, e) == x**e
+
+    def test_gate_power_runs_by_fft(self):
+        assert self.O.bit_length() >= FFT_FROM_BITS
+        assert arith._fft_chain(self.O, self.O, "110") == self.O**14
+
+    def planted_irfft(self, monkeypatch, delta):
+        irfft, calls = np.fft.irfft, []
+
+        def faulty(*args, **kwargs):
+            z = irfft(*args, **kwargs)
+            z[len(z) // 4] += delta  # len(z) < 2 (len(a) + len(b)): a product coefficient
+            calls.append(len(z))
+            return z
+
+        monkeypatch.setattr(np.fft, "irfft", faulty)
+        return calls
+
+    def assert_falls_back(self):
+        assert arith._fft_chain(self.O, self.O, "110") is None
+        assert int_power(self.X, 14) == self.X**14
+
+    def test_bound_guard_refuses_the_last_square(self, monkeypatch):
+        # Percival's bound is 0.02 for the first FFT square and 0.16 for the last
+        calls = self.planted_irfft(monkeypatch, 0.0)
+        monkeypatch.setattr(arith, "FFT_ERROR_LIMIT", 0.1)
+        self.assert_falls_back()
+        assert calls and max(calls) < 16384
+
+    def test_fraction_guard_catches_an_off_integer_coefficient(self, monkeypatch):
+        self.planted_irfft(monkeypatch, 0.3)
+        monkeypatch.setattr(arith, "_residue", lambda d: 0)  # guard (c) off
+        self.assert_falls_back()
+
+    def test_residue_guard_catches_a_wrong_integer(self, monkeypatch):
+        self.planted_irfft(monkeypatch, 1.0)
+        self.assert_falls_back()
+        # unchecked, the planted integer would be in the product
+        monkeypatch.setattr(arith, "_residue", lambda d: 0)
+        wrong = arith._fft_chain(self.O, self.O, "110")
+        assert wrong is not None and wrong != self.O**14

@@ -343,6 +343,29 @@ class TestDispatch:
         assert records[1]["end"] == "40961"
         assert records[1]["sieve_confirmed"] is True
 
+    def test_staircase_truncates_past_the_int_str_limit(self, capsys):
+        # the first step's end has ~20000 digits and lies beyond the sieve,
+        # so the second step is refused, naming that end in full
+        code, out, _ = run(
+            capsys, "staircase", "--mode", "power-2piN", "--m", "20", "--start", "1000",
+            "--steps", "2",
+        )
+        assert code == 0
+        header, step, _ = json_lines(out)
+        assert len(step["end"]) > 20_000
+        assert header["truncated_reason"] == (
+            f"pi({step['end']}) unknown beyond the sieve limit 100000"
+        )
+
+    def test_staircase_2000_steps_pinned(self, capsys):
+        # the steps past the float range of ln N stay the same bytes, and
+        # take linear time: each step's tower loop stops once ln N is inf
+        code, out, _ = run(capsys, "staircase", "--mode", "factorial-squared", "--steps", "2000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "25d59bfa01adc571e703df8407f35476f7246e696e898358fe6d3d68ec7137e2"
+        )
+
     def test_lemma4(self, capsys):
         code, out, _ = run(capsys, "lemma4", "--mode", "raw")
         assert code == 0
