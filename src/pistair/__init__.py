@@ -69,7 +69,6 @@ from .staircase import (
     FactorialGate,
     GapRecursionReport,
     LogTower,
-    Ordering,
     StaircaseCertificate,
     StaircaseStep,
     default_exponent,
@@ -80,10 +79,7 @@ from .staircase import (
     theorem1_gate,
     theorem2_sequence,
     theorem3_sequence,
-    tower_compare,
     tower_exp,
-    tower_from_float,
-    tower_from_int,
     tower_ln,
     tower_normalize,
     tower_to_float,

@@ -1,20 +1,19 @@
 """Iterated-exponential arithmetic and the prime-gap staircase certifiers.
 
 A LogTower stores a number as exp applied `level` times to a float
-mantissa, which is enough to compare, log-count, and certify numbers far
-beyond any materializable integer.  On top of that sit the three gate
-checkers (the factorial gate, the exp((log x)^e) sequence, the
-a_{n+1} = a_n + log a_n sequence), the staircase certifier, and the
-classic 2^2^k baseline.
+mantissa, which is enough to log-count and certify numbers far beyond any
+materializable integer.  On top of that sit the three gate checkers (the
+factorial gate, the exp((log x)^e) sequence, the a_{n+1} = a_n + log a_n
+sequence), the staircase certifier, and the classic 2^2^k baseline.
 
-Tower comparisons inherit float precision: two towers whose values agree
-to within one ulp of the top-level mantissa compare as equal.  Logarithmic
-staircase ends are rounded up instead, into proven upper bounds (_step).
+Every tower built as a threshold is a proven upper bound: staircase ends
+(_step) and power towers round each float up (_up, _tower_up).
+tower_normalize rounds to nearest, so it only takes given values, such as
+the euclid argument and the exp((log x)^e) ladder's log log, into tower form.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -37,12 +36,6 @@ MAX_EXP_ARG = 709.0
 
 LN2 = math.log(2)
 LN10 = math.log(10)
-
-
-class Ordering(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
 
 
 @dataclass(frozen=True)
@@ -85,27 +78,6 @@ def tower_normalize(level: int, mantissa: float) -> LogTower:
     return LogTower(k, r)
 
 
-def tower_from_float(value: float) -> LogTower:
-    if not math.isfinite(value):
-        raise DomainError(f"tower mantissa must be finite, got {value}")
-    return LogTower(0, float(value))
-
-
-def tower_from_int(n: int) -> LogTower:
-    """Tower for a positive integer of any size, rounded to nearest.
-
-    Below 2^996 it is the nearest float (2^64 - 1 becomes 2^64); from there
-    on it is exp of the rounded ln n.  So euclid_baseline(tower_from_int(n))
-    can overclaim for n just below 2^(2^k), k >= 6: it is 6 at n = 2^64 - 1,
-    where euclid_baseline(n) of the int itself is 5.
-    """
-    if n <= 0:
-        raise DomainError(f"towers represent positive values, got {n}")
-    if n.bit_length() <= 996:  # n < 2^996 < 1e300: a level-0 float
-        return LogTower(0, float(n))
-    return tower_normalize(1, math.log(n))
-
-
 def tower_to_float(x: LogTower) -> float | None:
     """The represented value as a float, or None when it would overflow."""
     v = x.mantissa
@@ -114,32 +86,6 @@ def tower_to_float(x: LogTower) -> float | None:
             return None
         v = math.exp(v)
     return v if abs(v) < OVERFLOW else None
-
-
-def tower_compare(x: LogTower, y: LogTower) -> Ordering:
-    """Total order on tower values.
-
-    The lower-level operand is lifted with (k, r) -> (k+1, log r) until the
-    levels match; a nonpositive mantissa met while lifting means the value
-    is below anything still carrying levels.
-    """
-    kx, rx = x.level, x.mantissa
-    ky, ry = y.level, y.mantissa
-    while kx < ky:
-        if rx <= 0:
-            return Ordering.LESS
-        rx = math.log(rx)
-        kx += 1
-    while ky < kx:
-        if ry <= 0:
-            return Ordering.GREATER
-        ry = math.log(ry)
-        ky += 1
-    if rx < ry:
-        return Ordering.LESS
-    if rx > ry:
-        return Ordering.GREATER
-    return Ordering.EQUAL
 
 
 def tower_ln(x: LogTower) -> LogTower:
@@ -160,31 +106,67 @@ def tower_exp(x: LogTower) -> LogTower:
     return tower_normalize(x.level + 1, x.mantissa)
 
 
-def power_tower(base: float, height: int) -> LogTower:
-    """base^base^...^base with `height` copies, folded upward as t -> exp(t ln base).
+def _up(x: float) -> float:
+    """x moved up by two ulps, after a rounded operation whose result must not fall.
 
-    Each step rounds to nearest, in one of three ways.  While t fits a float
-    v, the next tower is exp(v c), c = ln base.  While ln t fits a float, it is
-    exp(exp(ln t + ln c)).  Beyond that ln t is at least ~e^690, while
-    -1 < ln c < 7 (towers leave the float range only for base > e^(1/e)), so
-    adding ln c moves the top mantissa of ln t by less than one ulp: the next
-    tower is t one level up with the same mantissa.  So any base > 1 works at
-    any height.
+    +, -, * and / round to nearest (half an ulp), and the glibc manual's
+    x86-64 table lists at most one ulp for log and exp: two ulps cover one
+    of these, or two roundings to nearest in a row."""
+    return math.nextafter(math.nextafter(x, math.inf), math.inf)
+
+
+def _tower_up(level: int, r: float) -> LogTower:
+    """A normalized tower at least exp^level(r), for a finite r >= 1:
+    tower_normalize with each log rounded up, which keeps the mantissa >= 1."""
+    while r >= math.e:
+        r = _up(math.log(r))
+        level += 1
+    return LogTower(level, r)
+
+
+def _exp_up(r: float, times: int) -> float:
+    """An upper bound on exp applied `times` times to r, inf once past the float range."""
+    for _ in range(times):
+        if r > MAX_EXP_ARG:
+            return math.inf
+        r = _up(math.exp(r))
+    return r
+
+
+def power_tower(base: float, height: int) -> LogTower:
+    """A tower at least base^base^...^base with `height` copies: folded as
+    t -> exp(t ln base) with every float rounded up (_up), like staircase ends.
+
+    With c >= ln base and float bounds v >= t and ln_t >= ln t, each step takes
+    one of three ways.  While x = v c is a float, the next tower is exp(x).
+    Otherwise v > 2^1024 / 710, so ln t > 703 while ln c > -37 (c > 2^-53, as
+    base > 1 is a float), and the next tower is exp(exp(s)), s = ln_t + ln c
+    > 1, while ln_t is a float.  Beyond that ln t is at least ~e^709, and as in
+    _step adding ln c moves the top mantissa by far less than one ulp: the next
+    tower is t one level up with the next float as mantissa.  So any base > 1
+    works at any height.
     """
     if height < 1:
         raise DomainError(f"tower height must be >= 1, got {height}")
     if base <= 1:
         raise DomainError(f"only growing towers (base > 1) are supported, got {base}")
-    c = math.log(base)
-    t = tower_from_float(float(base))
+    t = tower_normalize(0, base)
+    c = _up(math.log(base))
     for _ in range(height - 1):
-        v = tower_to_float(t)
-        if v is not None:
-            t = tower_exp(tower_from_float(v * c))
-        elif (ln_t := tower_to_float(tower_ln(t))) is not None:
-            t = tower_exp(tower_exp(tower_from_float(ln_t + math.log(c))))
+        if t.level == 0:
+            v, ln_t = t.mantissa, _up(math.log(t.mantissa))
         else:
-            t = LogTower(t.level + 1, t.mantissa)
+            ln_t = _exp_up(t.mantissa, t.level - 1)
+            v = _exp_up(ln_t, 1)
+        x = _up(v * c)
+        if x <= MAX_EXP_ARG:
+            t = LogTower(0, _up(math.exp(x)))
+        elif x < math.inf:
+            t = _tower_up(1, x)
+        elif ln_t < math.inf:
+            t = _tower_up(2, _up(ln_t + _up(math.log(c))))
+        else:
+            t = _tower_up(t.level + 1, math.nextafter(t.mantissa, math.inf))
     return t
 
 
@@ -542,15 +524,6 @@ def default_exponent(b: float) -> int:
     return math.floor(b) + 1
 
 
-def _up(x: float) -> float:
-    """x moved up by two ulps, after a rounded operation whose result must not fall.
-
-    +, -, * and / round to nearest (half an ulp), and the glibc manual's
-    x86-64 table lists at most one ulp for log and exp: two ulps cover one
-    of these, or two roundings to nearest in a row."""
-    return math.nextafter(math.nextafter(x, math.inf), math.inf)
-
-
 def _ln_upper(n: int) -> float:
     """An upper bound on ln n for an integer n >= 1 of any size."""
     s = max(n.bit_length() - 53, 0)
@@ -583,15 +556,6 @@ def _log_bounds(t: PrimeTable, n: int, m: int, q_mode: str) -> tuple[float, floa
         )
     u = _up(_up(m * ln_q) + _up(LN10))
     return ln_q, _up(u + math.exp(-u / 2))
-
-
-def _tower_up(level: int, r: float) -> LogTower:
-    """A normalized tower at least exp^level(r), for a finite r >= 1:
-    tower_normalize with each log rounded up, which keeps the mantissa >= 1."""
-    while r >= math.e:
-        r = _up(math.log(r))
-        level += 1
-    return LogTower(level, r)
 
 
 def _step(t: PrimeTable, index: int, start: "int | LogTower", m: int, q_mode: str,
@@ -645,12 +609,7 @@ def _step(t: PrimeTable, index: int, start: "int | LogTower", m: int, q_mode: st
         if isinstance(start, int):
             ln_n = _ln_upper(start)
         else:
-            ln_n = start.mantissa
-            for _ in range(start.level - 1):
-                if ln_n > MAX_EXP_ARG:
-                    ln_n = math.inf
-                    break
-                ln_n = _up(math.exp(ln_n))
+            ln_n = _exp_up(start.mantissa, start.level - 1)
         lnln_end = _up(_up(_ln_upper(2 * m) + ln_n) + _up(math.log(ln_n)))
         if lnln_end < math.inf:
             end = _tower_up(2, lnln_end)
@@ -730,8 +689,7 @@ def euclid_baseline(x: LogTower | int) -> int:
 
     An int n counts exactly from its bit length: 2^(2^k) <= n exactly when
     2^k <= n.bit_length() - 1, so k = (n.bit_length() - 1).bit_length() - 1
-    for n >= 2.  Pass an int as it is: tower_from_int rounds to nearest, so
-    euclid_baseline(tower_from_int(2**64 - 1)) is 6, where 5 is right.
+    for n >= 2.
     At level 0, 2^(2^k) <= x exactly when 2^(2^k) <= floor(x): bit lengths.
     At level L >= 1, k = max(0, floor t), t = (ln ln x - ln ln 2)/ln 2, where
     ln ln x is ln r at level 1 and exp^(L-2)(r) above (r the mantissa).  t is

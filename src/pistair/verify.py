@@ -35,8 +35,8 @@ from .primes import (
     prime_count, sieve,
 )
 from .staircase import (
-    Ordering, euclid_baseline, staircase_certify, theorem1_gate, theorem2_sequence,
-    theorem3_sequence, tower_compare, tower_from_float, tower_normalize, tower_to_float,
+    euclid_baseline, staircase_certify, theorem1_gate, theorem2_sequence, theorem3_sequence,
+    tower_normalize,
 )
 
 SEED = 20240214
@@ -278,25 +278,6 @@ def normalize_one_five():
     _equal(x.level, 2)
     _near(x.mantissa, math.log(5), 1e-12)
 
-@_check("staircase", "tower order: antisymmetric, transitive, float-consistent", 500)
-def tower_order(trials: int):
-    rng = random.Random(SEED)
-    towers = [
-        tower_normalize(rng.randint(1, 5), rng.uniform(1.0, math.e * 0.999))
-        for _ in range(300)
-    ] + [tower_from_float(rng.uniform(0.1, 100.0)) for _ in range(100)]
-    for _ in range(trials):
-        x, y, z = rng.choice(towers), rng.choice(towers), rng.choice(towers)
-        cxy = tower_compare(x, y)
-        _require(cxy.value == -tower_compare(y, x).value, "antisymmetry: %s, %s", x, y)
-        if cxy is not Ordering.GREATER and tower_compare(y, z) is not Ordering.GREATER:
-            xz = tower_compare(x, z)
-            _require(xz is not Ordering.GREATER, "transitivity: %s, %s, %s", x, y, z)
-        fx, fy = tower_to_float(x), tower_to_float(y)
-        if fx is not None and fy is not None:
-            expected = Ordering.LESS if fx < fy else Ordering.GREATER if fx > fy else Ordering.EQUAL
-            _require(cxy is expected, "float order: %s, %s", x, y)
-
 @_check("staircase", "factorial gate fails at N=1")
 def gate_fails_at_one():
     _require(not theorem1_gate(sieve(100), 1).holds, "the gate holds at N=1")
@@ -359,7 +340,7 @@ def staircase_witnesses(certificates) -> int:
     return confirmed
 
 _check("staircase", "euclid baseline at 4, 16, 3")(
-    lambda: _equal([euclid_baseline(tower_from_float(x)) for x in (4, 16, 3)], [1, 2, 0])
+    lambda: _equal([euclid_baseline(tower_normalize(0, x)) for x in (4, 16, 3)], [1, 2, 0])
 )
 
 
