@@ -10,7 +10,7 @@ cross-checks them here.
 
 from fractions import Fraction
 
-from pistair import enclosure_compare, rational_str, to_record, zeta2_enclosure
+from pistair import rational_str, to_record, zeta2_enclosure
 
 print("=" * 72)
 print("  Enclosing zeta(2) with exact rational endpoints")
@@ -33,8 +33,9 @@ hi_bound = s1000 + Fraction(1, 1000)
 enc30 = zeta2_enclosure(30)
 print(f"  S_1000 + 1/1001 = {float(lo_bound):.15f}  (must sit below the enclosure)")
 print(f"  S_1000 + 1/1000 = {float(hi_bound):.15f}  (must sit above it)")
-print(f"  placement of the lower sandwich bound: {enclosure_compare(enc30, lo_bound).value}")
-print(f"  placement of the upper sandwich bound: {enclosure_compare(enc30, hi_bound).value}")
+for side, bound in (("lower", lo_bound), ("upper", hi_bound)):
+    placement = "below" if bound < enc30.lo else "above" if bound > enc30.hi else "overlapping"
+    print(f"  placement of the {side} sandwich bound: {placement}")
 assert lo_bound < enc30.lo and enc30.hi < hi_bound
 print("  enclosure lies strictly inside the sandwich window: consistent.")
 

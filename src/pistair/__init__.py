@@ -11,11 +11,8 @@ staircase certificates with their tower-of-exponentials endpoints.
 __version__ = "0.1.0"
 
 from .arith import (
-    Placement,
     RealEnclosure,
     as_rational,
-    enclosure_compare,
-    exp_taylor_enclosure,
     log_rational,
     rational_exp_upper,
     rational_str,
@@ -79,9 +76,6 @@ from .staircase import (
     theorem1_gate,
     theorem2_sequence,
     theorem3_sequence,
-    tower_exp,
-    tower_ln,
     tower_normalize,
-    tower_to_float,
 )
 from .verify import CheckResult, run_suite

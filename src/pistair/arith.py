@@ -21,7 +21,6 @@ before both changes and 1.7 ms after them.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,14 +90,6 @@ def log_rational(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-class Placement(enum.Enum):
-    """Position of a rational relative to an enclosure."""
-
-    BELOW = "below"
-    ABOVE = "above"
-    OVERLAPPING = "overlapping"
-
-
 @dataclass(frozen=True)
 class RealEnclosure:
     """Exact rational endpoints lo <= hi bracketing a real number."""
@@ -160,16 +151,6 @@ def neg_log_gaps(x: RealEnclosure, pairs) -> list[float | None]:
         separated = near > 0 and far < 2 * near
         out.append(-log_rational(Fraction(near + far, 2 * D * q)) if separated else None)
     return out
-
-
-def enclosure_compare(x: RealEnclosure, r) -> Placement:
-    """Classify rational r against enclosure x: BELOW means r < x.lo."""
-    r = as_rational(r)
-    if r < x.lo:
-        return Placement.BELOW
-    if r > x.hi:
-        return Placement.ABOVE
-    return Placement.OVERLAPPING
 
 
 def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
@@ -372,29 +353,6 @@ def rational_exp_upper(x) -> Fraction:
     if x < 0 or x > 1:
         raise DomainError(f"exp upper bound requires 0 <= x <= 1, got {x}")
     return 1 + x + x * x
-
-
-def exp_taylor_enclosure(x, terms: int = 30) -> RealEnclosure:
-    """Two-sided exact-rational Taylor bounds on exp(x) for 0 <= x <= 1.
-
-    Independent of rational_exp_upper: the partial sum of K = terms terms
-    below, plus twice the first omitted term x^K/K! above.  The tail is at
-    most (K+1)/K times that term on this domain, so K >= 1 is required.
-    """
-    x = as_rational(x)
-    if x < 0 or x > 1:
-        raise DomainError(f"Taylor enclosure requires 0 <= x <= 1, got {x}")
-    if terms < 1:
-        raise DomainError(f"Taylor enclosure needs terms >= 1, got {terms}")
-    # Over the common denominator b^K K!, x^k/k! has the integer numerator
-    # a^k b^(K-k) K!/k!; each step to k + 1 divides exactly by b (k + 1).
-    a, b = x.numerator, x.denominator
-    denominator = b**terms * math.factorial(terms)
-    numerator, total = denominator, 0
-    for k in range(terms):
-        total += numerator
-        numerator = numerator * a // (b * (k + 1))
-    return RealEnclosure(Fraction(total, denominator), Fraction(total + 2 * numerator, denominator))
 
 
 def int_power(x: int, e: int) -> int:

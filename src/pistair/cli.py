@@ -26,8 +26,8 @@ from typing import NamedTuple
 from . import __version__
 from .arith import zeta2_enclosure
 from .approx import (
-    LEMMA4_MODES, RVConstants, continued_fraction, lemma4_derivation,
-    sondow_inequality_check, zeta2_exponent_report,
+    LEMMA4_MODES, RV_PAGE102, RVConstants, continued_fraction, lemma4_bound,
+    lemma4_derivation, sondow_inequality_check, zeta2_exponent_report,
 )
 from .errors import PistairError, PrecisionExhaustedError
 from .euler import approximation_gap, euler_product, qn_bound_report
@@ -230,13 +230,13 @@ def _cmd_staircase(args):
     return [header] + [{"record": "step", **step} for step in steps] + bounds, 0
 
 @_command("lemma4", "growth-rate measure bound 1 + rho/sigma",
-          _arg("--a", type=float, default=-2.55306095),
-          _arg("--b", type=float, default=1.70036709),
+          _arg("--a", type=float, default=RV_PAGE102.a),
+          _arg("--b", type=float, default=RV_PAGE102.b),
           _arg("--mode", choices=LEMMA4_MODES, default="raw"))
 def _cmd_lemma4(args):
-    derived = lemma4_derivation(RVConstants(a=args.a, b=args.b), args.mode)
-    bound = 1 + derived.rho / derived.sigma
-    return [{**to_record(derived), "mode": args.mode, "bound": bound}], 0
+    c = RVConstants(a=args.a, b=args.b)
+    derived = lemma4_derivation(c, args.mode)
+    return [{**to_record(derived), "mode": args.mode, "bound": lemma4_bound(c, args.mode)}], 0
 
 @_command("sondow", "primorial inequality p_{n+1} <= (p_1...p_n)^(2 mu)",
           _n, _arg("--mu", type=str, default="5.45"))

@@ -363,9 +363,9 @@ def log_lcm_to(t: PrimeTable, n: int) -> LcmLogReport:
         raise RangeError(f"n must be >= 1, got {n}")
     if n > t.limit:
         raise RangeError(f"log lcm to {n} needs a sieve beyond limit {t.limit}")
-    log_n = math.log(n) if n > 1 else 0.0
     if n == 1:
         return LcmLogReport(1, 0.0, 0.0, 0.0)
+    log_n = math.log(n)
     cut = int(count_at_most(t.primes, n))
     primes = t.primes[:cut]
     root = math.isqrt(n)

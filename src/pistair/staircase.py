@@ -58,7 +58,10 @@ def tower_normalize(level: int, mantissa: float) -> LogTower:
     """
     if level < 0:
         raise DomainError(f"tower level must be >= 0, got {level}")
-    r = float(mantissa)
+    try:
+        r = float(mantissa)
+    except OverflowError:
+        raise DomainError("tower mantissa must lie in the float range, |x| < 1.8e308") from None
     k = int(level)
     if not math.isfinite(r):
         raise DomainError(f"tower mantissa must be finite, got {r}")
@@ -76,34 +79,6 @@ def tower_normalize(level: int, mantissa: float) -> LogTower:
         else:
             break
     return LogTower(k, r)
-
-
-def tower_to_float(x: LogTower) -> float | None:
-    """The represented value as a float, or None when it would overflow."""
-    v = x.mantissa
-    for _ in range(x.level):
-        if v > MAX_EXP_ARG:
-            return None
-        v = math.exp(v)
-    return v if abs(v) < OVERFLOW else None
-
-
-def tower_ln(x: LogTower) -> LogTower:
-    """Natural log of a positive tower value."""
-    if x.level >= 1:
-        return LogTower(x.level - 1, x.mantissa)
-    if x.mantissa <= 0:
-        raise DomainError(f"log of non-positive value {x.mantissa}")
-    return LogTower(0, math.log(x.mantissa))
-
-
-def tower_exp(x: LogTower) -> LogTower:
-    """exp of a tower value."""
-    if x.level == 0:
-        if x.mantissa <= MAX_EXP_ARG:
-            return LogTower(0, math.exp(x.mantissa))
-        return tower_normalize(1, x.mantissa)
-    return tower_normalize(x.level + 1, x.mantissa)
 
 
 def _up(x: float) -> float:
@@ -705,8 +680,10 @@ def euclid_baseline(x: LogTower | int) -> int:
         return 0 if n < 2 else (n.bit_length() - 1).bit_length() - 1
     if x.level <= 2 and x.mantissa < 2 - x.level:
         return 0  # ln ln x < 0, so x < e < 4
-    lnln = tower_to_float(tower_ln(tower_ln(x)))  # sizes the first precision
-    if lnln is None:
+    lnln = math.log(x.mantissa) if x.level == 1 else x.mantissa  # sizes the first precision
+    for _ in range(x.level - 2):
+        lnln = math.exp(lnln) if lnln <= MAX_EXP_ARG else math.inf
+    if not abs(lnln) < OVERFLOW:
         raise ResourceLimitError("tower too deep: the doubling count exceeds float range")
     prec = len(str(abs(math.floor(lnln / LN2)))) + 20
     while prec <= config.digit_cap():

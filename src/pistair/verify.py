@@ -24,11 +24,8 @@ from .approx import (
     RV_PAGE102, continued_fraction, convergents, lemma4_bound, measure_exponents,
     sondow_inequality_check, zeta2_exponent_report,
 )
-from .arith import (
-    Placement, RealEnclosure, enclosure_compare, exp_taylor_enclosure, rational_exp_upper,
-    zeta2_enclosure,
-)
-from .errors import ResourceLimitError
+from .arith import RealEnclosure, as_rational, rational_exp_upper, zeta2_enclosure
+from .errors import DomainError, ResourceLimitError
 from .euler import approximation_gap, euler_product, qn_bound_report, tail_product_upper
 from .primes import (
     count_at_most, lcm_to, log_lcm_table, log_lcm_to, nth_prime, nth_prime_limit_estimate,
@@ -98,11 +95,27 @@ _check("arith", "finer enclosure nests", 30)(
     lambda d: _equal(zeta2_enclosure(d).contains_enclosure(zeta2_enclosure(d + 10)), True)
 )
 
-@_check("arith", "compare below/above/overlap", 30)
-def zeta2_compare(digits: int):
-    enc = zeta2_enclosure(digits)
-    got = [enclosure_compare(enc, r) for r in (1, 2, enc.midpoint)]
-    _equal(got, [Placement.BELOW, Placement.ABOVE, Placement.OVERLAPPING])
+def exp_taylor_enclosure(x, terms: int = 30) -> RealEnclosure:
+    """Two-sided exact-rational Taylor bounds on exp(x) for 0 <= x <= 1.
+
+    Independent of rational_exp_upper: the partial sum of K = terms terms
+    below, plus twice the first omitted term x^K/K! above.  The tail is at
+    most (K+1)/K times that term on this domain, so K >= 1 is required.
+    """
+    x = as_rational(x)
+    if x < 0 or x > 1:
+        raise DomainError(f"Taylor enclosure requires 0 <= x <= 1, got {x}")
+    if terms < 1:
+        raise DomainError(f"Taylor enclosure needs terms >= 1, got {terms}")
+    # Over the common denominator b^K K!, x^k/k! has the integer numerator
+    # a^k b^(K-k) K!/k!; each step to k + 1 divides exactly by b (k + 1).
+    a, b = x.numerator, x.denominator
+    denominator = b**terms * math.factorial(terms)
+    numerator, total = denominator, 0
+    for k in range(terms):
+        total += numerator
+        numerator = numerator * a // (b * (k + 1))
+    return RealEnclosure(Fraction(total, denominator), Fraction(total + 2 * numerator, denominator))
 
 @_check("arith", "exp upper dominates the Taylor oracle (100 samples)", 100)
 def exp_upper_vs_taylor(samples: int):

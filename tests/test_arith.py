@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 
 from pistair import (
     DomainError,
-    Placement,
     PrecisionExhaustedError,
     RealEnclosure,
     ResourceLimitError,
     as_rational,
-    enclosure_compare,
-    exp_taylor_enclosure,
     log_rational,
     rational_exp_upper,
     rational_str,
@@ -28,6 +25,7 @@ from pistair.arith import (
     FFT_FROM_BITS, GUARD_DIGITS, _arctan_recip_scaled, _fraction_over_smooth, digit_ladder,
     int_power, neg_log_gaps,
 )
+from pistair.verify import exp_taylor_enclosure
 
 
 def partial_sum(n):
@@ -57,20 +55,6 @@ class TestRealEnclosure:
         assert enc.abs_distance_to(Fraction(2)).lo == Fraction(1, 3)
         with pytest.raises(DomainError):
             enc.abs_distance_to(Fraction(8, 5))
-
-
-class TestEnclosureCompare:
-    def test_below(self):
-        enc = RealEnclosure(Fraction(3, 2), Fraction(5, 3))
-        assert enclosure_compare(enc, 1) is Placement.BELOW
-
-    def test_above(self):
-        enc = RealEnclosure(Fraction(3, 2), Fraction(5, 3))
-        assert enclosure_compare(enc, 2) is Placement.ABOVE
-
-    def test_overlapping(self):
-        enc = RealEnclosure(Fraction(3, 2), Fraction(5, 3))
-        assert enclosure_compare(enc, Fraction(8, 5)) is Placement.OVERLAPPING
 
 
 def reference_neg_log_gap(x, r):

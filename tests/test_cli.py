@@ -537,7 +537,7 @@ class TestVerifySubcommand:
         assert [c["name"] for c in checks if c["ok"]] == [checks[-1]["name"]]
         assert all(c["detail"] == "DomainError: planted" for c in failed)
         assert checks[-1]["detail"] == ""
-        assert summary == {"suite": "arith", "checks": 5, "failures": 4}
+        assert summary == {"suite": "arith", "checks": 4, "failures": 3}
 
     def test_planted_wrong_value_exit_1(self, capsys, monkeypatch):
         real = verify.euler_product

@@ -33,17 +33,17 @@ GOLDEN = {
     "lemma4 --mode raw": "e1a3e4561991d8d42f13db9ba8194fb758e0880b01d4564b67b2a6576e6be82e",
     "sondow --n 15 --mu 5.45": "51046e05819e0fa85ee596400e44ed632b11f0b6e02e69ee98658946e60324e0",
     "euclid --level 2 --mantissa 1.0": "7f19177a5a7a027ee5f51d792c1160c870cc2dfb58dec7eccd6d34eebfa44215",
-    "verify --suite all": "ff65bf28bc6638ef7e68274903af1bf8bb5e3fe1d2de02cd9d3b86a4ecc6fabc",
+    "verify --suite all": "130ada35ab1e8ef0f27c31e51174abb740ee501945ee679dd92034703ae48272",
     "euler --N 30000": "264ff11aecd354fea7173d2c7587579ae5e7bac5dc05b8c3ef99de5c45655cb5",
     "gap --N 25000 --digits 30": "6cf59a1e5d51db4202d9803331ccf1ba87aa2a98c2b6064877d992e3d981f85c",
     "qbounds --N 2000": "8bcc3ad30f953e1f8cfcdef70841df7fb57deb277ae8e3d5c7d34502166aa910",
     "theorem1 --N 2000": "ca5b83b9a88aaaeb6907e03a511ada3cb30d6d47580fcc3da450b9c4a1ccc406",
-    "verify --suite arith": "3c902248842ad9f0dffea41f587d731af398c34b9e680b24de0b535e008c8ec2",
+    "verify --suite arith": "d773d6132351cbdebc351ec75f4e4bd38b5de328884fb4642433a0d1e9ca98ed",
     "verify --suite primes": "6937645611c9a294d82799247e607eaa4b1c539fc0d82581c6c3f857158ea61a",
     "verify --suite euler": "1508e55c9bda9930c8084c71172261c6e2a885a4fbb2f7af6794cfd3c043333d",
     "verify --suite approx": "7a0206f5717841d9e9196e4f984ca9d4b8985d4b31f593ab6c616a3f60614dab",
     "verify --suite staircase": "679e293d3c1301ecb15a368cd401c3fb0cc77b521a52ea32fd2edf0f7e7ceecb",
-    "verify --suite all --format csv": "c1a5d7b97b9eed5430a9af78f9f2328f8b4693e341cbc8fe3a3d72cd47d507a0",
+    "verify --suite all --format csv": "440762dbc5b59cda0f56a7e8f3b2a97d71c6039a1d22068a3e9a16db76dd5b77",
 }
 
 

@@ -25,10 +25,7 @@ from pistair import (
     theorem1_gate,
     theorem2_sequence,
     theorem3_sequence,
-    tower_exp,
-    tower_ln,
     tower_normalize,
-    tower_to_float,
 )
 from pistair import staircase
 from pistair.cli import run_cli
@@ -104,23 +101,25 @@ class TestTowerNormalize:
         t = tower_normalize(level, mantissa)
         if t.level >= 1:
             assert 1 <= t.mantissa < math.e
+        # compared at the lower of the two levels, where both values are small
+        k = min(level, t.level)
         before = LogTower(level, mantissa)
-        fa, fb = tower_to_float(before), tower_to_float(t)
-        if fa is not None and fb is not None:
-            assert fb == pytest.approx(fa, rel=1e-9)
+        assert float(iterated_ln(t, k)) == pytest.approx(float(iterated_ln(before, k)), rel=1e-9)
+
+    def test_int_beyond_float_range_refused(self):
+        with pytest.raises(DomainError, match="float range"):
+            tower_normalize(0, 10**400)
+        with pytest.raises(DomainError, match="float range"):
+            power_tower(10**400, 2)
 
 
 class TestTowerArithmetic:
-    def test_exp_ln_roundtrip(self):
-        t = tower_normalize(1, 700.0)
-        assert tower_ln(tower_exp(t)) == t
-
     def test_power_tower(self):
-        assert tower_to_float(power_tower(2, 2)) == pytest.approx(4.0)
-        assert tower_to_float(power_tower(2, 3)) == pytest.approx(16.0)
-        assert tower_to_float(power_tower(2, 4)) == pytest.approx(65536.0)
+        assert float(iterated_ln(power_tower(2, 2), 0)) == pytest.approx(4.0)
+        assert float(iterated_ln(power_tower(2, 3), 0)) == pytest.approx(16.0)
+        assert float(iterated_ln(power_tower(2, 4), 0)) == pytest.approx(65536.0)
         t5 = power_tower(2, 5)  # 2^65536
-        assert tower_to_float(tower_ln(t5)) == pytest.approx(65536 * math.log(2), rel=1e-9)
+        assert float(iterated_ln(t5, 1)) == pytest.approx(65536 * math.log(2), rel=1e-9)
 
     # bases above e^(1/e), whose towers leave the float range, at heights 1..30
     GRID_BASES = (
@@ -210,29 +209,49 @@ def power_towers_generic(base, max_height):
     round-to-nearest tower + and *; raises once it takes the log of a
     nonpositive ln ln base (base < e)."""
 
+    def to_float(x):
+        """exp^level(mantissa) as a float, or None past 1e300."""
+        v = x.mantissa
+        for _ in range(x.level):
+            if v > 709.0:
+                return None
+            v = math.exp(v)
+        return v if abs(v) < 1e300 else None
+
+    def ln(x):
+        if x.level >= 1:
+            return LogTower(x.level - 1, x.mantissa)
+        if x.mantissa <= 0:
+            raise DomainError(f"log of non-positive value {x.mantissa}")
+        return LogTower(0, math.log(x.mantissa))
+
+    def exp(x):
+        if x.level == 0 and x.mantissa <= 709.0:
+            return LogTower(0, math.exp(x.mantissa))
+        return tower_normalize(x.level + 1, x.mantissa)
+
     def add(x, y):
-        fx, fy = tower_to_float(x), tower_to_float(y)
+        fx, fy = to_float(x), to_float(y)
         if fx is not None and fy is not None and fx + fy < 1e300:
             return tower_normalize(0, fx + fy)
         if value_less(x, y):
             x, y = y, x
-        lx, ly = tower_ln(x), tower_ln(y)
-        flx, fly = tower_to_float(lx), tower_to_float(ly)
+        flx, fly = to_float(ln(x)), to_float(ln(y))
         if flx is not None and fly is not None:
-            return tower_exp(tower_normalize(0, flx + math.log1p(math.exp(min(fly - flx, 0.0)))))
+            return exp(tower_normalize(0, flx + math.log1p(math.exp(min(fly - flx, 0.0)))))
         return x
 
     def mul(x, y):
-        fx, fy = tower_to_float(x), tower_to_float(y)
+        fx, fy = to_float(x), to_float(y)
         if fx is not None and fy is not None and abs(fx * fy) < 1e300:
             return tower_normalize(0, fx * fy)
-        return tower_exp(add(tower_ln(x), tower_ln(y)))
+        return exp(add(ln(x), ln(y)))
 
     ln_base = tower_normalize(0, math.log(base))
     t = tower_normalize(0, base)
     yield t
     for _ in range(max_height - 1):
-        t = tower_exp(mul(t, ln_base))
+        t = exp(mul(t, ln_base))
         yield t
 
 
@@ -818,6 +837,20 @@ class TestEuclidBaseline:
     def test_out_of_float_range_refused(self):
         with pytest.raises(ResourceLimitError):
             euclid_baseline(tower_normalize(6, 1.0))
+
+    def test_float_range_boundary(self):
+        # adjacent mantissas: ln ln x = exp^3(m) is 9.99999999999749e299, under the
+        # 1e300 float bound, and then at or past it
+        mpmath = pytest.importorskip("mpmath")
+        x = LogTower(5, 1.8776029995354924)
+        with mpmath.workdps(360):  # t has 301 integer digits
+            lnln = mpmath.mpf(x.mantissa)
+            for _ in range(3):
+                lnln = mpmath.exp(lnln)
+            t = (lnln - mpmath.log(mpmath.log(2))) / mpmath.log(2)
+            assert euclid_baseline(x) == int(mpmath.floor(t))
+        with pytest.raises(ResourceLimitError):
+            euclid_baseline(LogTower(5, math.nextafter(x.mantissa, 2.0)))
 
     def test_precision_stops_at_the_digit_cap(self, monkeypatch):
         # one ulp below ln 4 needs a second, 42-digit round; 2.0 is settled in the first
