@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Rigorous two-sided enclosures of zeta(2) = pi^2/6.
 
-The enclosure endpoints are exact rationals produced from Machin's
-identity with every rounding accounted for, so containment claims are
-proofs.  An independent partial-sum sandwich
+The enclosure endpoints are exact rationals produced from the Chudnovsky
+series for 1/pi, summed exactly and rounded once each way, so containment
+claims are proofs.  An independent partial-sum sandwich
     S_N + 1/(N+1) < zeta(2) < S_N + 1/N
 cross-checks them here.
 """

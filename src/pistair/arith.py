@@ -3,20 +3,18 @@
 Rationals are stdlib ``fractions.Fraction`` values (arbitrary-precision,
 always reduced, denominator positive).  An enclosure is a pair of exact
 rational endpoints known to bracket a real number; the zeta(2) enclosure
-is produced from Machin's identity pi/4 = 4 arctan(1/5) - arctan(1/239)
-with every rounding step accounted for, so the endpoints are proofs, not
-estimates.
+is produced from the Chudnovsky series for 1/pi with every rounding step
+accounted for, so the endpoints are proofs, not estimates.
 
-The arctan series is summed in floor-rounded fixed point, one term at a
-time from a running quotient, or, while that quotient is large, a block
-of ARCTAN_BLOCK terms from one division: with D = x^(2j) prod (2k+2i+1)
-divisible by each term's divisor e_i, floor(power / e_i) =
-Q (D/e_i) + floor(R / e_i) for power = QD + R (proved in
-_arctan_recip_scaled).  Both give the same integers.  The endpoints
-pi^2 / (6 10^(2m)) have the {2, 3, 5}-smooth denominator
-2^(2m+1) 3 5^(2m), so they are reduced by stripping those primes, with
-no gcd (_fraction_over_smooth).  A 1900-digit enclosure took 4.5 ms
-before both changes and 1.7 ms after them.
+The series is summed exactly by binary splitting, as one fraction of
+integers; its tail is bracketed by the next partial sum, since the terms
+alternate and shrink by more than 10^13 each (_chudnovsky_sums), and
+sqrt(10005) by ``math.isqrt``, so pi is rounded once each way
+(_pi_scaled).  The endpoints pi^2 / (6 10^(2m)) have the {2, 3, 5}-smooth
+denominator 2^(2m+1) 3 5^(2m), so they are reduced by stripping those
+primes, with no gcd (_fraction_over_smooth).  A 2000-digit enclosure
+took 2.1 ms with Machin's arctan series in floor-rounded fixed point and
+1.0 ms this way (best of 15, Python 3.11, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -31,16 +29,10 @@ from . import config
 from .errors import DomainError, PrecisionExhaustedError, ResourceLimitError
 from .records import rational_str
 
-#: Extra decimal places carried through the fixed-point summation.  They
-#: absorb the per-term floor rounding and the final squaring, keeping the
-#: output width comfortably below 10^-digits (checked before returning).
+#: Extra decimal places carried in the integer bounds on pi.  They absorb
+#: the bounds' rounding and the final squaring, keeping the output width
+#: comfortably below 10^-digits (checked before returning).
 GUARD_DIGITS = 10
-
-#: Terms of the arctan series that _arctan_recip_scaled takes from one
-#: division, while the running quotient has at least ARCTAN_BLOCK_FROM_BITS
-#: bits (both measured in _arctan_recip_scaled).
-ARCTAN_BLOCK = 16
-ARCTAN_BLOCK_FROM_BITS = 1536
 
 #: Bit length of the running power from which int_power squares and
 #: multiplies by FFT.  Chosen from interleaved best-of-7 timings of
@@ -153,119 +145,79 @@ def neg_log_gaps(x: RealEnclosure, pairs) -> list[float | None]:
     return out
 
 
-def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
-    """Integer bounds [lo, hi] on scale * arctan(1/x) for integer x >= 2.
+def _chudnovsky_sums(terms: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """S_K and S_(K+1) for K = terms >= 1, as (numerator, denominator) pairs
+    of positive ints, the smaller first: S lies strictly between them.
 
-    Sums the alternating series arctan(1/x) = sum (-1)^k / ((2k+1) x^(2k+1))
-    in floor-rounded fixed point.  Each floored term underestimates its true
-    value by less than one unit, counted per sign; the omitted tail is
-    bounded by the first omitted term (alternating, strictly decreasing),
-    which is below one unit at the stopping point.
+    The Chudnovsky series (D. V. and G. V. Chudnovsky, 1988) gives
+    pi = 426880 sqrt(10005) / S with S = sum a_k over k >= 0, where
+    a_k = (-1)^k (6k)! (13591409 + 545140134 k) / ((3k)! (k!)^3 640320^(3k)),
+    and S_K is the sum of a_0 .. a_(K-1).
 
-    The terms cost linear time each: ``power`` carries floor(scale / x^(2k+1))
-    from term to term by ``power //= x*x``, and the term is ``power // (2k+1)``.
-    For positive integers a, b, c, floor(floor(a/b)/c) = floor(a/(bc)): write
-    a = qb + r with 0 <= r < b and q = sc + u with 0 <= u < c; then
-    a = s(bc) + (ub + r) with 0 <= ub + r <= (c-1)b + b - 1 < bc.  Applied
-    once per division, this gives power = floor(scale / x^(2k+1)) and
-    t = floor(scale / ((2k+1) x^(2k+1))) exactly, the same floored term as a
-    direct division, so the sum and the unit counts above are unchanged.
+    The terms alternate in sign and shrink by more than 10^13 each:
+    a_k / a_(k-1) = -24 (6k-5)(2k-1)(6k-1) L(k) / (k^3 640320^3 L(k-1)),
+    L(k) = 13591409 + 545140134 k.  At k = 1 its size is
+    120 L(1) / (640320^3 L(0)) < 2e-14.  For k >= 2, (6k-5)(2k-1)(6k-1)
+    < 72 k^3 and L(k) / L(k-1) <= L(2) / L(1) < 2, so its size is below
+    3456 / 640320^3 < 2e-14.  By Leibniz's rule S therefore lies strictly
+    between S_K and S_(K+1), and S_(K+1) is the larger when a_K > 0, that
+    is when K is even.
 
-    While ``power`` has at least ARCTAN_BLOCK_FROM_BITS bits, the j =
-    ARCTAN_BLOCK terms from k on come from one division by a small number
-    instead of 2j passes over ``power``.  The term k + i is
-    floor(power / e_i) with e_i = x^(2i) (2k+2i+1) for i < j, and the next
-    running quotient is floor(power / e_j) with e_j = x^(2j), by the
-    identity above.  Every e_i divides D = x^(2j) P, P = prod (2k+2i+1).
-    With power = QD + R, 0 <= R < D, and D/e_i an integer,
-    floor(power / e_i) = Q (D/e_i) + floor(R / e_i), since QD/e_i is an
-    integer and 0 <= R/e_i.  So the block adds Q c + r, with the small
-    c = sum (-1)^i D/e_i and r = sum (-1)^i floor(R/e_i) (its floors again
-    by the running quotient, on R), and the next running quotient is
-    QP + floor(R / x^(2j)).  If Q >= 1 every term of the block is at least
-    D/e_i >= 1, so none is the zero that ends the series; Q = 0, or a
-    ``power`` below the crossover, hands the rest to the per-term loop,
-    which alone decides where the series stops.  The integers are the same
-    as the per-term loop's, term by term.
-
-    A block costs one division and two multiplications of ``power`` by
-    numbers of about j (2 log2 x + log2 2k) bits, against 2j single-limb
-    passes, plus ~2j small-integer operations.  Timed on Python 3.11, 2-core
-    Xeon, best of 3 to 9 in runs that differed by up to 25%: at 2000
-    digits, x = 5 took 3.3 ms term by term and 1.5 to 1.7 ms in blocks of
-    j = 8 to 32, x = 239 1.06 ms and 0.62 to 0.72 ms; at 10^4 digits, x = 5
-    took 81 ms term by term, 30 ms for j = 8 and 19 to 21 ms for j = 12 to
-    32.  j = 16 is within the spread of the best from 10^3 to 10^4 digits.
-    One block of 16 against 16 single terms broke even at a ``power`` of
-    ~800 bits (x = 5) to ~1500 bits (x = 239, k ~ 1400).  With blocks from
-    768 or 1024 bits, x = 239 at 300 to 400 digits was 10 to 27% slower
-    than term by term; from 1536 bits no size from 100 to 2000 digits was
-    slower beyond the spread.
+    Binary splitting (Haible and Papanikolaou, 1998) gives S_K exactly as
+    T(0, K) / Q(0, K).  Term k contributes the ratio p(k) / q(k) with
+    p(k) = (6k-5)(2k-1)(6k-1) and q(k) = k^3 640320^3 / 24 (p(0) = q(0) = 1)
+    and t(k) = (-1)^k p(k) L(k); over a range [a, b) split at c,
+    P = P(a, c) P(c, b), Q = Q(a, c) Q(c, b) and
+    T = T(a, c) Q(c, b) + P(a, c) T(c, b), so the integers stay exact and
+    no term is rounded.  S_(K+1) adds the leaf k = K to (P, Q, T)(0, K).
     """
-    x2 = x * x
-    power = scale // x  # floor(scale / x^(2k+1))
-    k = acc = 0
-    if power.bit_length() >= ARCTAN_BLOCK_FROM_BITS:
-        k, acc, power = _arctan_blocks(x2, power)
-    n_pos = (k + 1) // 2
-    n_neg = k // 2
-    while True:
-        t = power // (2 * k + 1)
-        if t == 0:
-            break
-        if k % 2 == 0:
-            acc += t
-            n_pos += 1
-        else:
-            acc -= t
-            n_neg += 1
-        k += 1
-        power //= x2
-    lo = acc - n_neg
-    hi = acc + n_pos
-    if k % 2 == 0:
-        hi += 1  # omitted tail is positive and < 1 unit
-    else:
-        lo -= 1  # omitted tail is negative and > -1 unit
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        if b - a == 1:
+            if a == 0:
+                return 1, 1, 13591409
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            t = p * (13591409 + 545140134 * a)
+            return p, a * a * a * 10939058860032000, -t if a % 2 else t
+        c = (a + b) // 2
+        p1, q1, t1 = split(a, c)
+        p2, q2, t2 = split(c, b)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    p, q, t = split(0, terms)
+    _, q_k, t_k = split(terms, terms + 1)
+    s_k, s_next = (t, q), (t * q_k + p * t_k, q * q_k)
+    return (s_next, s_k) if terms % 2 else (s_k, s_next)
+
+
+def _pi_scaled(scale: int) -> tuple[int, int]:
+    """Integer bounds lo < pi * scale < hi for an integer scale >= 1.
+
+    pi = 426880 sqrt(10005) / S for the Chudnovsky sum S, which lies
+    strictly between the partial sums S_lo < S_hi from _chudnovsky_sums.
+    With r = isqrt(10005 scale^2), r <= sqrt(10005) scale < r + 1, so
+    426880 r / S_hi < pi scale < 426880 (r + 1) / S_lo; lo and hi are their
+    floor and ceiling, the only roundings.
+
+    The term count K sets only the width.  (6k)! / ((3k)! (k!)^3) < 1728^k,
+    so |a_K| < L(K) / 151931373056000^K < L(K) 2^(-47.1 K).  K =
+    bits(scale) // 47 + 2 makes 47.1 K > bits(scale) + 48, so
+    scale |a_K| < L(K) 2^-48 and the two partial sums move pi scale by far
+    less than a unit.  The sqrt bracket adds at most 426880 / S < 0.04, so
+    hi - lo <= 2.
+    """
+    small, large = _chudnovsky_sums(scale.bit_length() // 47 + 2)
+    r = math.isqrt(10005 * scale * scale)
+    lo = 426880 * r * large[1] // large[0]
+    hi = -(-426880 * (r + 1) * small[1] // small[0])
     return lo, hi
-
-
-def _arctan_blocks(x2: int, power: int) -> tuple[int, int, int]:
-    """The block phase of _arctan_recip_scaled from k = 0, power = scale // x.
-
-    Returns (k, acc, power): the number of terms summed, which is a multiple
-    of ARCTAN_BLOCK, their signed sum, and floor(scale / x^(2k+1)).
-    """
-    j = ARCTAN_BLOCK
-    x2_pows = [x2**i for i in range(j + 1)]
-    k = acc = 0
-    while power.bit_length() >= ARCTAN_BLOCK_FROM_BITS:
-        odds = range(2 * k + 1, 2 * k + 2 * j, 2)
-        p = math.prod(odds)
-        q, r = divmod(power, x2_pows[j] * p)
-        if q == 0:
-            break
-        c = s = 0
-        for i, o in enumerate(odds):
-            if i % 2:
-                c -= x2_pows[j - i] * (p // o)
-                s -= r // o
-            else:
-                c += x2_pows[j - i] * (p // o)
-                s += r // o
-            r //= x2
-        acc += -(q * c + s) if k % 2 else q * c + s
-        power = q * p + r
-        k += j
-    return k, acc, power
 
 
 def zeta2_enclosure(digits: int) -> RealEnclosure:
     """Enclosure of zeta(2) = pi^2/6 with width at most 10^-digits.
 
-    Machin's identity gives integer bounds on pi at ``digits + GUARD_DIGITS``
+    _pi_scaled gives integer bounds on pi at ``digits + GUARD_DIGITS``
     decimal places; squaring and dividing by 6 stays exact on the rational
-    endpoints, so the only error sources are the accounted series roundings.
+    endpoints, so the only error sources are the bounds' two roundings.
     """
     if digits < 1:
         raise DomainError(f"digits must be >= 1, got {digits}")
@@ -277,11 +229,7 @@ def zeta2_enclosure(digits: int) -> RealEnclosure:
         )
     m = digits + GUARD_DIGITS
     scale = 10**m
-    a5_lo, a5_hi = _arctan_recip_scaled(5, scale)
-    a239_lo, a239_hi = _arctan_recip_scaled(239, scale)
-    # pi = 16 arctan(1/5) - 4 arctan(1/239); integer scaling is exact.
-    pi_lo = 16 * a5_lo - 4 * a239_hi
-    pi_hi = 16 * a5_hi - 4 * a239_lo
+    pi_lo, pi_hi = _pi_scaled(scale)
     # The width (pi_hi^2 - pi_lo^2) / (6 scale^2) is at most 10^-digits iff
     # (pi_hi^2 - pi_lo^2) 10^digits <= 6 scale^2, here divided through by
     # 10^digits.  The guard digits make this unreachable; it is a contract.

@@ -78,11 +78,14 @@ def test_criterion_7_factorial_gate():
 
 def test_gate_power_is_exact_to_the_factorial_cap():
     # f comes from the checked FFT chain from N = 355 on; the reference is
-    # the running product N!^14 = (N-1)!^14 N^14, with no power of a big int
+    # the running product N!^14 = (N-1)!^14 N^14, with no power of a big int.
+    # lhs = 10 q^6 comes from int_power too; its reference is the builtin power
     t, reference = sieve(2000), 1
     for N in range(1, 2001):
         reference *= N**14
-        assert theorem1_gate(t, N).f == reference
+        gate = theorem1_gate(t, N)
+        assert gate.f == reference
+        assert gate.lhs == 10 * gate.q**6
 
 
 def test_criterion_8_continued_fractions():

@@ -1,5 +1,4 @@
 import fractions
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,8 +21,8 @@ from pistair import (
 )
 from pistair import arith
 from pistair.arith import (
-    FFT_FROM_BITS, GUARD_DIGITS, _arctan_recip_scaled, _fraction_over_smooth, digit_ladder,
-    int_power, neg_log_gaps,
+    FFT_FROM_BITS, GUARD_DIGITS, _chudnovsky_sums, _fraction_over_smooth, _pi_scaled,
+    digit_ladder, int_power, neg_log_gaps,
 )
 from pistair.verify import exp_taylor_enclosure
 
@@ -173,22 +172,22 @@ class TestZeta2Enclosure:
             zeta2_enclosure(51)
 
     @staticmethod
-    def widened_arctan(x, scale):
-        # an arctan bracket 10^GUARD_DIGITS units wide breaks the width contract
-        lo, hi = _arctan_recip_scaled(x, scale)
+    def widened_pi(scale):
+        # a pi bracket 10^GUARD_DIGITS units wide breaks the width contract
+        lo, hi = _pi_scaled(scale)
         return lo - 10**GUARD_DIGITS, hi + 10**GUARD_DIGITS
 
     def test_width_contract_raises(self, monkeypatch):
         # an explicit raise, not an assert, so python -O keeps it
-        monkeypatch.setattr(arith, "_arctan_recip_scaled", self.widened_arctan)
+        monkeypatch.setattr(arith, "_pi_scaled", self.widened_pi)
         with pytest.raises(PrecisionExhaustedError, match="wider than 10\\^-20"):
             zeta2_enclosure(20)
 
     def test_every_call_recomputes(self, monkeypatch):
         # no enclosure is kept between calls: after a good call at 20 digits,
-        # a widened arctan still reaches the width contract at 20 digits
+        # a widened pi bracket still reaches the width contract at 20 digits
         zeta2_enclosure(20)
-        monkeypatch.setattr(arith, "_arctan_recip_scaled", self.widened_arctan)
+        monkeypatch.setattr(arith, "_pi_scaled", self.widened_pi)
         with pytest.raises(PrecisionExhaustedError, match="wider than 10\\^-20"):
             zeta2_enclosure(20)
 
@@ -196,8 +195,7 @@ class TestZeta2Enclosure:
     def test_endpoints_equal_the_gcd_path(self, counts):
         for digits in counts:
             scale = 10 ** (digits + GUARD_DIGITS)
-            a5, a239 = _arctan_recip_scaled(5, scale), _arctan_recip_scaled(239, scale)
-            pi_lo, pi_hi = 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+            pi_lo, pi_hi = _pi_scaled(scale)
             enc = zeta2_enclosure(digits)
             for end, pi in ((enc.lo, pi_lo), (enc.hi, pi_hi)):
                 expected = Fraction(pi * pi, 6 * scale * scale)
@@ -212,20 +210,32 @@ class TestZeta2Enclosure:
         enc = zeta2_enclosure(1900)
         assert SANDWICH_LO < enc.lo < enc.hi < SANDWICH_HI
 
+    @pytest.mark.parametrize("counts", [range(1, 401), [1900, 2100]], ids=str)
+    def test_contains_mpmath_and_nests(self, counts):
+        assert_contains_mpmath_and_nests(counts)
 
     def test_default_cap_contains_mpmath_value(self):
-        # independent oracle: mpmath interval arithmetic 30 digits past the cap
-        mpmath = pytest.importorskip("mpmath")
-        digits = 10_000
-        enc = zeta2_enclosure(digits)
-        saved = mpmath.iv.prec
-        try:
+        assert_contains_mpmath_and_nests([9990, 10_000])
+
+
+def assert_contains_mpmath_and_nests(counts):
+    """Each zeta2_enclosure(d), d in counts, contains mpmath's interval at
+    d + 30 digits (an independent oracle), is at most 10^-d wide, and holds
+    the next, finer one."""
+    mpmath = pytest.importorskip("mpmath")
+    coarse = None
+    saved = mpmath.iv.prec
+    try:
+        for digits in counts:
+            enc = zeta2_enclosure(digits)
             mpmath.iv.dps = digits + 30
             lo, hi = (mpmath.iv.pi**2 / 6)._mpi_
-        finally:
-            mpmath.iv.prec = saved
-        assert enc.lo <= mpf_fraction(lo) and mpf_fraction(hi) <= enc.hi
-        assert enc.width <= Fraction(1, 10**digits)
+            assert enc.lo <= mpf_fraction(lo) and mpf_fraction(hi) <= enc.hi
+            assert enc.width <= Fraction(1, 10**digits)
+            assert coarse is None or coarse.contains_enclosure(enc)
+            coarse = enc
+    finally:
+        mpmath.iv.prec = saved
 
 
 def mpf_fraction(value) -> Fraction:
@@ -261,93 +271,82 @@ def arctan_recip_per_term_division(x, scale):
     return lo, hi
 
 
-def arctan_recip_running_quotient(x, scale):
-    """Reference: the running quotient carried one term at a time."""
-    x2 = x * x
-    power = scale // x
-    k = acc = n_pos = n_neg = 0
-    while True:
-        t = power // (2 * k + 1)
-        if t == 0:
-            break
-        if k % 2 == 0:
-            acc += t
-            n_pos += 1
-        else:
-            acc -= t
-            n_neg += 1
-        k += 1
-        power //= x2
-    lo = acc - n_neg
-    hi = acc + n_pos
-    if k % 2 == 0:
-        hi += 1
-    else:
-        lo -= 1
-    return lo, hi
+def chudnovsky_term(k):
+    """a_k = (-1)^k (6k)! (13591409 + 545140134 k) / ((3k)! (k!)^3 640320^(3k)),
+    as an unreduced (numerator, denominator) pair."""
+    numerator = (-1) ** k * math.factorial(6 * k) * (13591409 + 545140134 * k)
+    return numerator, math.factorial(3 * k) * math.factorial(k) ** 3 * 640320 ** (3 * k)
 
 
-def scales_with_terms(x, n):
-    """The least and the greatest scale whose series has exactly n >= 1 nonzero terms."""
-    least, greatest = (2 * n - 1) * x ** (2 * n - 1), (2 * n + 1) * x ** (2 * n + 1) - 1
-    for scale in (least, greatest):
-        assert scale // ((2 * n - 1) * x ** (2 * n - 1)) >= 1
-        assert scale // ((2 * n + 1) * x ** (2 * n + 1)) == 0
-    return least, greatest
+def machin_pi_bounds(scale):
+    """Reference bounds on pi * scale from pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    a5 = arctan_recip_per_term_division(5, scale)
+    a239 = arctan_recip_per_term_division(239, scale)
+    return 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
 
 
-BLOCK = arith.ARCTAN_BLOCK
+class TestPiScaled:
+    @staticmethod
+    def assert_inside_machin(scale):
+        machin_lo, machin_hi = machin_pi_bounds(scale)
+        lo, hi = _pi_scaled(scale)
+        assert machin_lo <= lo < hi <= machin_hi
+        assert hi - lo <= 2
 
+    @pytest.mark.parametrize("counts", [range(1, 401), [1900], [2100], [9990], [10_000]], ids=str)
+    def test_inside_the_machin_bounds(self, counts):
+        for digits in counts:
+            self.assert_inside_machin(10 ** (digits + GUARD_DIGITS))
 
-class TestArctanSeries:
-    @given(x=st.integers(2, 300), scale=st.integers(1, 10**400))
+    @given(scale=st.integers(1, 10**300))
     @settings(max_examples=300, deadline=None)
-    def test_running_quotient_matches_per_term_division(self, x, scale):
-        assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
+    def test_any_scale(self, scale):
+        self.assert_inside_machin(scale)
 
-    @given(
-        x=st.integers(2, 300),
-        scale=st.integers(1, 10**1000),
-        from_bits=st.sampled_from([0, 64]),
-        block=st.sampled_from([1, 3, BLOCK]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_blocks_from_any_size_match_per_term_division(self, x, scale, from_bits, block):
-        # blocks down to a 0- or 64-bit running quotient, so that the
-        # block phase also ends by Q == 0, at any term count; odd block
-        # lengths start blocks at odd k
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(arith, "ARCTAN_BLOCK_FROM_BITS", from_bits)
-            mp.setattr(arith, "ARCTAN_BLOCK", block)
-            assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
+    def test_partial_sums_are_exact_and_bracket_the_series(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(700):
+            series = 426880 * mpmath.sqrt(10005) / mpmath.pi  # the sum S
+            partial = Fraction(0)
+            for terms in range(1, 41):
+                partial += Fraction(*chudnovsky_term(terms - 1))
+                following = partial + Fraction(*chudnovsky_term(terms))
+                small, large = _chudnovsky_sums(terms)
+                assert small[1] > 0 and large[1] > 0
+                assert Fraction(*small) == min(partial, following)
+                assert Fraction(*large) == max(partial, following)
+                assert mpmath.mpf(small[0]) / small[1] < series < mpmath.mpf(large[0]) / large[1]
 
-    @pytest.mark.parametrize("x", [5, 239])
-    def test_machin_arguments_at_powers_of_ten(self, x):
-        for e in (1, 11, 40, 310, 2010):
-            scale = 10**e
-            assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
+    def test_each_bound_from_its_own_partial_sum(self, monkeypatch):
+        # partial sums moved 0.1% away from S, each on its own side, move
+        # each bound ~0.1% outward, past the Machin bounds; a bound taken
+        # from the other side's sum would move inward, across them
+        sums = arith._chudnovsky_sums
 
-    @pytest.mark.parametrize("from_bits", [0, None])
-    @pytest.mark.parametrize("x", [2, 3, 5, 239, 300])
-    def test_block_edges(self, monkeypatch, x, from_bits):
-        # term counts = 0, 1 and j - 1 mod j; with the crossover at 0 bits
-        # every block phase ends by Q == 0, with the default one the large
-        # counts start in blocks and end in the per-term loop
-        if from_bits is not None:
-            monkeypatch.setattr(arith, "ARCTAN_BLOCK_FROM_BITS", from_bits)
-        big = next(
-            m for m in itertools.count(1)
-            if (scales_with_terms(x, m * BLOCK)[0] // x).bit_length() >= arith.ARCTAN_BLOCK_FROM_BITS
-        )
-        for m in sorted({1, 2, 5, big}):
-            for n in (m * BLOCK, m * BLOCK + 1, m * BLOCK + BLOCK - 1):
-                for scale in scales_with_terms(x, n):
-                    assert _arctan_recip_scaled(x, scale) == arctan_recip_per_term_division(x, scale)
+        def widened(terms):
+            (n_small, d_small), (n_large, d_large) = sums(terms)
+            return (999 * n_small, 1000 * d_small), (1001 * n_large, 1000 * d_large)
 
-    @pytest.mark.parametrize("x", [5, 239])
-    def test_machin_arguments_at_the_digit_cap(self, x):
-        scale = 10**10010
-        assert _arctan_recip_scaled(x, scale) == arctan_recip_running_quotient(x, scale)
+        monkeypatch.setattr(arith, "_chudnovsky_sums", widened)
+        scale = 10**40
+        machin_lo, machin_hi = machin_pi_bounds(scale)
+        lo, hi = _pi_scaled(scale)
+        assert lo < machin_lo and machin_hi < hi
+        assert hi - lo > scale // 1000
+
+    def test_terms_alternate_and_shrink(self):
+        # the premise of the bracket between consecutive partial sums, for
+        # the 709 terms at the digit cap and the term a_709 that brackets them
+        terms = (10 ** (10_000 + GUARD_DIGITS)).bit_length() // 47 + 2
+        assert terms == 709
+        num, den = chudnovsky_term(0)
+        assert num > 0
+        for k in range(1, terms + 1):
+            next_num, next_den = chudnovsky_term(k)
+            assert (next_num > 0) != (num > 0)
+            # |a_k| 10^13 < |a_(k-1)|, cross-multiplied
+            assert abs(next_num) * den * 10**13 < abs(num) * next_den
+            num, den = next_num, next_den
 
 
 SMOOTH_OFFSETS = st.sampled_from([-2, -1, 0, 1, 2]) | st.integers(-1000, 1000)

@@ -15,7 +15,7 @@ import pytest
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 GOLDEN = {
-    "01_enclosing_zeta2.py": "deddf9ddc601a9ff06f489cd5921cf805869f478cdbd5335bfbbed3189c55eb1",
+    "01_enclosing_zeta2.py": "d2b0b9254ddf5d4bae4715520bb29538d2d947fdc12cdcfc6be5528e2983d5c4",
     "02_euler_products_and_gaps.py": "c847777427ebc4b2ee49df0838a2f958623766a7a645885c6a0401397bdf56d9",
     "03_continued_fractions.py": "fe95ffa77093837339ee3511dc81b48cae93b5a45e1014b66ec6a634543be561",
     "04_lcm_growth.py": "237ebd78e25ca82fb8e8a88ccdef5d38a2b2f3226f93b9e3e5a250216eca3e5e",

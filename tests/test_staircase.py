@@ -777,6 +777,11 @@ class TestEuclidBaseline:
         for x in xs:
             assert euclid_baseline(tower_normalize(0, x)) == exact(x), x
 
+    def test_negative_level_refused(self):
+        # a negative level has no meaning; tower_normalize refuses it too
+        with pytest.raises(DomainError, match="tower level must be >= 0, got -1"):
+            euclid_baseline(LogTower(-1, 5.0))
+
     def test_huge_tower(self):
         t = tower_normalize(3, 1.5)  # exp(exp(exp(1.5)))
         # log2 log2 = (lnln - lnln2)/ln2 with lnln = exp(1.5)
