@@ -76,9 +76,11 @@ def as_rational(value) -> Fraction:
 
 
 def log_rational(q: Fraction) -> float:
-    """Natural log of a positive rational, safe for huge numerator/denominator."""
+    """Natural log of a positive rational of any size: of its quotient, rounded once, if normal."""
     if q <= 0:
         raise DomainError(f"log of non-positive rational {rational_str(q)}")
+    if -1021 <= q.numerator.bit_length() - q.denominator.bit_length() < 1023:
+        return math.log(q.numerator / q.denominator)  # 2^-1022 < q < 2^1023
     return math.log(q.numerator) - math.log(q.denominator)
 
 

@@ -35,6 +35,7 @@ def decimal_str(n: int) -> str:
 
     def digits(n: int, width: int, pad: bool) -> str:
         # n < 10^width; exactly width digits when pad, else no leading zeros
+        # and hi > 0: width exceeds n's digit count by at most one (below 2^10^8)
         if width <= _LEAF_DIGITS:
             s = str(n)
             return s.zfill(width) if pad else s
@@ -42,8 +43,6 @@ def decimal_str(n: int) -> str:
         if k not in powers:
             powers[k] = 10**k
         hi, lo = divmod(n, powers[k])
-        if hi == 0 and not pad:
-            return digits(lo, k, False)
         return digits(hi, width - k, pad) + digits(lo, k, True)
 
     return digits(n, width, False)

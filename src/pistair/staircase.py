@@ -29,7 +29,7 @@ from .euler import _check_factorial_cap, euler_product
 from .primes import PrimeTable, nth_prime, prime_count
 from .records import decimal_field, decimal_str
 
-#: floats at or above this are promoted to level >= 1 representations
+#: euclid_baseline refuses a tower whose ln ln x is not below this in size
 OVERFLOW = 1e300
 #: exp() stays finite below this argument
 MAX_EXP_ARG = 709.0
@@ -99,6 +99,15 @@ def _tower_up(level: int, r: float) -> LogTower:
     return LogTower(level, r)
 
 
+def _exp_tower_up(x: float, ln_x: float, t: "int | LogTower") -> LogTower:
+    """A tower >= exp(X) from floats x >= X >= 1 or ln_x >= ln X, else t one level up (_step)."""
+    if x < math.inf:
+        return _tower_up(1, x)
+    if ln_x < math.inf:
+        return _tower_up(2, ln_x)
+    return _tower_up(t.level + 1, math.nextafter(t.mantissa, math.inf))
+
+
 def _exp_up(r: float, times: int) -> float:
     """An upper bound on exp applied `times` times to r, inf once past the float range."""
     for _ in range(times):
@@ -136,12 +145,8 @@ def power_tower(base: float, height: int) -> LogTower:
         x = _up(v * c)
         if x <= MAX_EXP_ARG:
             t = LogTower(0, _up(math.exp(x)))
-        elif x < math.inf:
-            t = _tower_up(1, x)
-        elif ln_t < math.inf:
-            t = _tower_up(2, _up(ln_t + _up(math.log(c))))
         else:
-            t = _tower_up(t.level + 1, math.nextafter(t.mantissa, math.inf))
+            t = _exp_tower_up(x, _up(ln_t + _up(math.log(c))), t)
     return t
 
 
@@ -578,21 +583,15 @@ def _step(t: PrimeTable, index: int, start: "int | LogTower", m: int, q_mode: st
             sieve_confirmed = prime_count(t, end) > lo_count
             if sieve_confirmed:
                 prime_witness = int(t.primes[lo_count])
-    elif ln_end < math.inf:
-        end = _tower_up(1, ln_end)
-    elif q_mode == "power-2piN":
+    elif q_mode == "power-2piN" and ln_end == math.inf:
         return None, "pi(N) unknown at tower scale"
     else:
-        ln_q = ln_end = None
-        if isinstance(start, int):
-            ln_n = _ln_upper(start)
-        else:
-            ln_n = _exp_up(start.mantissa, start.level - 1)
-        lnln_end = _up(_up(_ln_upper(2 * m) + ln_n) + _up(math.log(ln_n)))
-        if lnln_end < math.inf:
-            end = _tower_up(2, lnln_end)
-        else:
-            end = _tower_up(start.level + 1, math.nextafter(start.mantissa, math.inf))
+        # ln ln end is read only once ln_end overflowed, so in factorial-squared mode
+        ln_n = (_ln_upper(start) if isinstance(start, int)
+                else _exp_up(start.mantissa, start.level - 1))
+        end = _exp_tower_up(ln_end, _up(_up(_ln_upper(2 * m) + ln_n) + _up(math.log(ln_n))), start)
+        if ln_end == math.inf:
+            ln_q = ln_end = None
     step = StaircaseStep(
         index=index, start=start, end=end,
         witness_mode="logarithmic" if q_bound is None else "exact",

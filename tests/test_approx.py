@@ -215,6 +215,20 @@ class TestMeasureExponents:
         with pytest.raises(DomainError, match="digits must be >= 1"):
             zeta2_exponent_report(100, digits=digits)
 
+    def test_exponents_within_two_ulps_of_mpmath(self):
+        # log_rational takes the log of the gap's correctly rounded quotient;
+        # the difference of the logs of its ~140-digit numerator and
+        # denominator was up to 104 ulps off (1640/997) by cancellation
+        mp = pytest.importorskip("mpmath")
+        records, _ = zeta2_exponent_report(10**12, 60)
+        measured = [r for r in records if r.q >= 2]
+        assert len(measured) == 28
+        with mp.workdps(50):
+            zeta2 = mp.pi**2 / 6
+            for r in measured:
+                exact = float(-mp.log(abs(zeta2 - mp.mpf(r.p) / r.q)) / mp.log(r.q))
+                assert abs(r.exponent - exact) <= 2 * math.ulp(exact), (r.p, r.q)
+
     def test_huge_max_q_matches_fraction_reference(self):
         # 594 convergents lie below 10^300, so the report needs far more
         # than 200 partial quotients

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -509,6 +511,33 @@ class TestOutputContracts:
         code, out, _ = run(capsys, "lemma4", "--format", "table")
         assert code == 0
         assert "bound" in out
+
+    def test_csv_flattens_a_nested_record(self, capsys):
+        # theorem2's tower field is a dataclass: one dotted column per field
+        records = json_lines(run(capsys, "theorem2", "--n", "3")[1])
+        code, out, _ = run(capsys, "theorem2", "--n", "3", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert list(rows[0]) == ["loglog", "loglog_closed", "n", "tower.level", "tower.mantissa"]
+        assert len(rows) == len(records) == 4
+        for row, record in zip(rows, records):
+            assert float(row["loglog"]) == record["loglog"]
+            assert int(row["tower.level"]) == record["tower"]["level"]
+            assert float(row["tower.mantissa"]) == record["tower"]["mantissa"]
+
+    def test_table_prints_a_list_field_as_json(self, capsys):
+        # theorem3's checkpoints field is a list of dataclasses: one JSON cell
+        args = ("theorem3", "--n", "20000", "--sieve")
+        (record,) = json_lines(run(capsys, *args)[1])
+        code, out, _ = run(capsys, *args, "--format", "table")
+        assert code == 0
+        *lines, end = out.splitlines()
+        assert end == "--"
+        table = dict(line.split(None, 1) for line in lines)
+        assert sorted(table) == sorted(record)
+        assert json.loads(table["checkpoints"]) == record["checkpoints"]
+        assert [c["n"] for c in record["checkpoints"]] == [1000, 10000]
+        assert table["sandwich_ok"] == "True"
 
 
 class TestVerifySubcommand:

@@ -21,10 +21,10 @@ from pistair.cli import run_cli
 GOLDEN = {
     "euler --N 10": "c3ba4d37af8e6e0f89922da4f1536553147e61e5093219ee7d70e1edc7656e49",
     "zeta2 --digits 40": "feb1a1743d91ad2822bbb6f1bd3158217bf8cd6ba4f721fc23b41e1ca947887c",
-    "gap --N 10 --digits 30": "0ebc7caee2035e92e5d5404da4346d4a97da4202b6568da60e048c08b13418a7",
+    "gap --N 10 --digits 30": "713708023865e456c5439989a1c8daae67a8c0a3027fdd738c27dfc2e051b4b4",
     "qbounds --N 5": "b30583179d81df59dd89305e7197ffe104fd731074716fb3884861f114609e62",
     "cf --digits 60 --terms 20": "a0135b0be06cf15e384e9313ef5c722fd964e04c97c72f51eb4a30c77fe50f98",
-    "exponents --digits 60 --max-q 1000000": "b1ab36d0b0d0ff70e1ebb260ea96e0a45d5f13b5c1ad162e18e6fb55a909edf4",
+    "exponents --digits 60 --max-q 1000000": "1bb4b6dc3dbdf13630bbb3400114e1dca5ea6077656899f93aee28f811862167",
     "dn --n 5000 --log-only": "e65b7bfdb7a5200c8d744f54c56fc1d4e8ce48f5a35526c6a4592ee6d8f88099",
     "theorem1 --N 20": "70eca1e5ca477b6106252599463f98f07274ca7b6febaed312ef0e3f9ffccd9f",
     "theorem2 --n 10": "77f8f3ca49eea11c3ec03305d47b1023202de6ea90a4d65886acf8a92fa51a80",
@@ -35,7 +35,7 @@ GOLDEN = {
     "euclid --level 2 --mantissa 1.0": "7f19177a5a7a027ee5f51d792c1160c870cc2dfb58dec7eccd6d34eebfa44215",
     "verify --suite all": "130ada35ab1e8ef0f27c31e51174abb740ee501945ee679dd92034703ae48272",
     "euler --N 30000": "264ff11aecd354fea7173d2c7587579ae5e7bac5dc05b8c3ef99de5c45655cb5",
-    "gap --N 25000 --digits 30": "38eb88eef8d24c92d2cb7f2131645cfd7ad82449ea9b9a266b98c79e6e488fbf",
+    "gap --N 25000 --digits 30": "e297259c02bf621aabd393726e3b4449ddd0eabc13ecf934ac6aad3c0968d163",
     "qbounds --N 2000": "8bcc3ad30f953e1f8cfcdef70841df7fb57deb277ae8e3d5c7d34502166aa910",
     "theorem1 --N 2000": "ca5b83b9a88aaaeb6907e03a511ada3cb30d6d47580fcc3da450b9c4a1ccc406",
     "verify --suite arith": "d773d6132351cbdebc351ec75f4e4bd38b5de328884fb4642433a0d1e9ca98ed",

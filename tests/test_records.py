@@ -2,7 +2,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -40,6 +40,32 @@ class TestDecimalStr:
     def test_interior_zero_runs_keep_their_width(self):
         n = 7 * 10**3000 + 5 * 10**1000 + 3
         assert decimal_str(n) == reference(n)
+
+    def test_every_digit_count_boundary(self):
+        # decimal_str never tests for a vanished high part: its width exceeds
+        # the digit count by at most one, so every split keeps >= 300 digits
+        # on top.  Pinned at each edge 10^k from below the leaf size to 6000
+        # digits, at 2^j for every third j (0.9 digits a step, so every digit
+        # count to 6000 is met), and at random ints up to 40000 bits.
+        cases = []
+        for k in range(590, 6001):
+            cases += [(10**k - 1, "9" * k), (10**k, "1" + "0" * k), (10**k + 1, f"1{'0' * (k - 1)}1")]
+        power = Decimal(2)
+        with localcontext() as ctx:
+            ctx.prec = 7000  # 2^j stays exact: it has at most 6021 digits
+            for j in range(1, 20_000, 3):
+                cases += [(2**j - 1, str(power - 1)), (2**j, str(power))]
+                power *= 8
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            rng = random.Random(40_000)
+            for n in (rng.getrandbits(rng.randrange(1, 40_000)) for _ in range(200)):
+                cases.append((n, str(n)))
+            for n, expected in cases:
+                assert decimal_str(n) == expected, n.bit_length()
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_at_the_lowest_settable_limit(self):
         old = sys.get_int_max_str_digits()
