@@ -114,9 +114,20 @@ def zeta2_exponent_report(
 
     q_k >= phi^(k-1), so floor(log_phi max_q) + 3 quotients reach past max_q
     (1441/1000 > log_phi 2).  Doubles the working digits (up to the
-    configured cap) until every convergent is separated, re-deriving
-    quotients at each refinement; emitted prefixes are stable under
-    refinement, so records only extend.
+    configured cap) only until the provable quotient prefix reaches a
+    denominator q_K > max_q; that enclosure then separates every convergent
+    with q <= max_q:
+
+    - continued_fraction emits a_0..a_K only while both endpoints agree, so
+      the enclosure lies in the closed cylinder I_K of a_0..a_K, whose width
+      is 1/(q_K (q_K + q_(K-1))).
+    - Every measured convergent has 2 <= q_k <= max_q < q_K, so 1 <= k < K
+      and q_(k+1) > q_k.
+    - Every x in I_K, a subset of I_(k+1), has
+      |x - p_k/q_k| >= 1/(q_k (q_(k+1) + q_k)), which is more than
+      |I_K| <= 1/(q_(k+1) (q_(k+1) + q_k)).
+    - So neg_log_gaps separates every pair with relative width below 1,
+      and measure_exponents never refuses here.
     """
     ladder = digit_ladder(digits)
     terms = max(max_q, 1).bit_length() * 1441 // 1000 + 3
@@ -125,10 +136,7 @@ def zeta2_exponent_report(
         all_records = convergents(continued_fraction(enc, terms))
         # The prefix provably covers max_q only once it reaches past it.
         if all_records[-1].q > max_q:
-            try:
-                return measure_exponents(enc, [r for r in all_records if r.q <= max_q])
-            except PrecisionExhaustedError:
-                pass
+            return measure_exponents(enc, [r for r in all_records if r.q <= max_q])
     raise PrecisionExhaustedError(
         f"convergents up to q <= {max_q} not resolvable within {ladder[-1]} digits"
     )

@@ -36,9 +36,6 @@ class PrimeTable:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def __iter__(self):
-        return iter(self.primes.tolist())
-
     def __repr__(self) -> str:
         return f"PrimeTable(limit={self.limit}, count={len(self.primes)})"
 

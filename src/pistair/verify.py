@@ -372,7 +372,7 @@ def run_suite(name: str) -> list[CheckResult]:
     type and message in `detail`, except a `ResourceLimitError`, which propagates;
     the caps are read once first, so a malformed one refuses the whole run."""
     if name != "all" and name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     for cap in (config.sieve_limit_cap, config.digit_cap, config.factorial_cap,
                 config.bigint_digit_budget):
         cap()

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pistair import (
@@ -249,6 +249,39 @@ class TestMeasureExponents:
         wide = RealEnclosure(mid - Fraction(1, 10), mid + Fraction(1, 10))
         with pytest.raises(PrecisionExhaustedError):
             measure_exponents(wide, fake)
+
+
+class TestOneRungSeparates:
+    """Once the provable quotient prefix reaches a denominator q_K > max_q, its
+    enclosure lies in the cylinder of that prefix and so separates every
+    convergent with q <= max_q (the proof is in zeta2_exponent_report)."""
+
+    def test_zeta2_first_rung_measures(self, monkeypatch):
+        for digits in range(1, 41):
+            # a cap equal to the digits leaves the ladder one rung
+            monkeypatch.setenv("PISTAIR_DIGIT_CAP", str(digits))
+            prefix = convergents(continued_fraction(zeta2_enclosure(digits), 10**4))
+            last = prefix[-1].q
+            for max_q in sorted({r.q + s for r in prefix for s in (-1, 0)}):
+                if max_q >= last:
+                    with pytest.raises(PrecisionExhaustedError, match=f"within {digits} digits"):
+                        zeta2_exponent_report(max_q, digits)
+                    continue
+                records, _ = zeta2_exponent_report(max_q, digits)
+                assert [(r.p, r.q) for r in records] == [
+                    (r.p, r.q) for r in prefix if r.q <= max_q
+                ]
+
+    @given(positive_enclosures(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rational_enclosures(self, x, data):
+        quotients = continued_fraction(x, 10**4)
+        assume(quotients)
+        prefix = convergents(quotients)
+        k = data.draw(st.integers(0, len(prefix) - 1))
+        max_q = prefix[k].q - data.draw(st.integers(0, 1))
+        if max_q < prefix[-1].q:
+            measure_exponents(x, [r for r in prefix if r.q <= max_q])
 
 
 def reference_exponent_report(max_q, digits=60):

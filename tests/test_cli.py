@@ -402,6 +402,19 @@ class TestErrors:
         assert code == 2
         assert json.loads(err.strip().splitlines()[0])["error"] == "ResourceLimitError"
 
+    def test_precision_exhausted_exit_1(self, capsys, monkeypatch):
+        # 20 digits give no provable quotient prefix that reaches q > 10^30
+        monkeypatch.setenv("PISTAIR_DIGIT_CAP", "20")
+        max_q = str(10**30)
+        code, out, err = run(capsys, "exponents", "--digits", "10", "--max-q", max_q)
+        assert code == 1
+        assert out == ""
+        expected = {
+            "error": "PrecisionExhaustedError",
+            "reason": f"convergents up to q <= {max_q} not resolvable within 20 digits",
+        }
+        assert err == json.dumps(expected, sort_keys=True) + "\n"
+
 
     @pytest.mark.parametrize(
         "error", [ValueError, OverflowError, ZeroDivisionError], ids=lambda e: e.__name__
