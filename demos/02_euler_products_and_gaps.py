@@ -27,7 +27,7 @@ for N in (2, 3, 5, 10, 30, 100, 1000):
     report = approximation_gap(t, N, 30)
     frac = f"{approx.value.numerator}/{approx.value.denominator}"
     if len(frac) > 24:
-        frac = f"[{approx.q_digits}-digit denominator]"
+        frac = f"[{len(str(approx.value.denominator))}-digit denominator]"
     exponent = f"{report.exponent:.4f}" if report.exponent is not None else "-"
     print(
         f"{N:>6} {frac:>24} {float(approx.value):>12.8f} "

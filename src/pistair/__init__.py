@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .arith import (
     RealEnclosure,
     as_rational,
-    log_rational,
     rational_exp_upper,
     rational_str,
     zeta2_enclosure,

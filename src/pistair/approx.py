@@ -4,7 +4,7 @@ Partial quotients are emitted only while the Gauss map, run on integer
 numerator/denominator pairs, agrees on both enclosure endpoints, so every
 quotient is provably correct for every real the enclosure brackets.
 Exponents come from integer cross-products over one common denominator,
-with one gcd per rational (arith.neg_log_gaps); the growth-rate bound
+logged unreduced, with no gcd (arith.neg_log_gaps); the growth-rate bound
 mu <= 1 + rho/sigma with the published page-102 constants is exact-rational
 at the decision points.  The primorial inequality check compares logarithms
 of logarithms, with a margin far above float rounding, and falls back to

@@ -1,7 +1,8 @@
 """Exact rationals and rigorous two-sided enclosures of zeta(2) = pi^2/6.
 
 Rationals are stdlib ``fractions.Fraction`` values (arbitrary-precision,
-always reduced, denominator positive).  An enclosure is a pair of exact
+always reduced, denominator positive); a ratio that is only logged stays
+two unreduced ints (_log_ratio).  An enclosure is a pair of exact
 rational endpoints known to bracket a real number; the zeta(2) enclosure
 is produced from the Chudnovsky series for 1/pi with every rounding step
 accounted for, so the endpoints are proofs, not estimates.
@@ -75,13 +76,19 @@ def as_rational(value) -> Fraction:
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
 
 
-def log_rational(q: Fraction) -> float:
-    """Natural log of a positive rational of any size: of its quotient, rounded once, if normal."""
-    if q <= 0:
-        raise DomainError(f"log of non-positive rational {rational_str(q)}")
-    if -1021 <= q.numerator.bit_length() - q.denominator.bit_length() < 1023:
-        return math.log(q.numerator / q.denominator)  # 2^-1022 < q < 2^1023
-    return math.log(q.numerator) - math.log(q.denominator)
+def _log_ratio(a: int, b: int) -> float:
+    """Natural log of a/b for ints a, b > 0, of any size, with no gcd.
+
+    Int true division rounds the exact quotient once, whatever factors a
+    and b share, so in the normal range the log is that of the reduced
+    quotient's float.  Outside it, a/b is scaled by 2^-s into (1/2, 2),
+    rounded once there, and s ln 2 is added back.
+    """
+    s = a.bit_length() - b.bit_length()  # 2^(s-1) < a/b < 2^(s+1)
+    if -1021 <= s < 1023:  # 2^-1022 < a/b < 2^1023
+        return math.log(a / b)
+    scaled = a / (b << s) if s > 0 else (a << -s) / b
+    return math.log(scaled) + s * math.log(2)
 
 
 @dataclass(frozen=True)
@@ -131,8 +138,9 @@ def neg_log_gaps(x: RealEnclosure, pairs) -> list[float | None]:
 
     None where p/q is not strictly outside x or the gap enclosure's width is
     not below its lower end.  Over D = lcm of the endpoint denominators the
-    gap is [near/(Dq), far/(Dq)] for integers near, far; its midpoint takes
-    one gcd and equals abs_distance_to(p/q).midpoint, so the logs agree.
+    gap is [near/(Dq), far/(Dq)] for integers near, far; its midpoint
+    (near + far)/(2Dq) equals abs_distance_to(p/q).midpoint, and its log is
+    taken from the two ints unreduced (_log_ratio), with no Fraction.
     """
     D = math.lcm(x.lo.denominator, x.hi.denominator)
     lo = x.lo.numerator * (D // x.lo.denominator)
@@ -143,7 +151,7 @@ def neg_log_gaps(x: RealEnclosure, pairs) -> list[float | None]:
         if near <= 0:  # p/q is not below lo, so measure it from above hi
             near, far = -far, -near
         separated = near > 0 and far < 2 * near
-        out.append(-log_rational(Fraction(near + far, 2 * D * q)) if separated else None)
+        out.append(-_log_ratio(near + far, 2 * D * q) if separated else None)
     return out
 
 

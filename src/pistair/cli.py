@@ -151,8 +151,9 @@ _N, _n = _arg("--N", type=int, required=True), _arg("--n", type=int, required=Tr
 
 @_command("euler", "exact truncated Euler product p_N/q_N", _N, table=True)
 def _cmd_euler(args):
-    approx = euler_product(_table_for(args, args.N), args.N)
-    return [{**to_record(approx), "q_digits": approx.q_digits}], 0
+    record = to_record(euler_product(_table_for(args, args.N), args.N))
+    value = record["value"]
+    return [{**record, "q_digits": len(value) - value.index("/") - 1}], 0
 
 @_command("gap", "enclosure of |pi^2/6 - p_N/q_N| and its exponent",
           _N, _arg("--digits", type=int, default=30), table=True)

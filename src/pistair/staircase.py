@@ -686,9 +686,10 @@ def euclid_baseline(x: LogTower | int) -> int:
     if x.level <= 2 and x.mantissa < 2 - x.level:
         return 0  # ln ln x < 0, so x < e < 4
     lnln = math.log(x.mantissa) if x.level == 1 else x.mantissa  # sizes the first precision
-    for _ in range(x.level - 2):
-        lnln = math.exp(lnln) if lnln <= MAX_EXP_ARG else math.inf
-    if not abs(lnln) < OVERFLOW:
+    levels = x.level - 2
+    while levels > 0 and lnln <= MAX_EXP_ARG:  # past it, exp overflows at the next level
+        lnln, levels = math.exp(lnln), levels - 1
+    if levels > 0 or not abs(lnln) < OVERFLOW:
         raise ResourceLimitError("tower too deep: the doubling count exceeds float range")
     prec = len(str(abs(math.floor(lnln / LN2)))) + 20
     while prec <= config.digit_cap():

@@ -17,7 +17,6 @@ from pistair import (
     convergents,
     lemma4_bound,
     lemma4_derivation,
-    log_rational,
     measure_exponents,
     sieve,
     sondow_inequality_check,
@@ -216,9 +215,9 @@ class TestMeasureExponents:
             zeta2_exponent_report(100, digits=digits)
 
     def test_exponents_within_two_ulps_of_mpmath(self):
-        # log_rational takes the log of the gap's correctly rounded quotient;
-        # the difference of the logs of its ~140-digit numerator and
-        # denominator was up to 104 ulps off (1640/997) by cancellation
+        # the gaps' logs come from their correctly rounded quotients; the
+        # difference of the logs of a ~140-digit numerator and denominator
+        # was up to 104 ulps off (1640/997) by cancellation
         mp = pytest.importorskip("mpmath")
         records, _ = zeta2_exponent_report(10**12, 60)
         measured = [r for r in records if r.q >= 2]
@@ -229,18 +228,51 @@ class TestMeasureExponents:
                 exact = float(-mp.log(abs(zeta2 - mp.mpf(r.p) / r.q)) / mp.log(r.q))
                 assert abs(r.exponent - exact) <= 2 * math.ulp(exact), (r.p, r.q)
 
+    @pytest.mark.parametrize(
+        "max_q_exponent, digits, count", [(300, 700, 594), (1000, 2200, 1975)]
+    )
+    def test_huge_max_q_exponents_within_two_ulps_of_mpmath(self, max_q_exponent, digits, count):
+        # past q ~ 10^154 the gaps lie below 2^-1022, where the log is taken
+        # of the quotient scaled into range; the difference of the logs of
+        # the gap's numerator and denominator was up to 15 ulps off
+        mp = pytest.importorskip("mpmath")
+        records, _ = zeta2_exponent_report(10**max_q_exponent, digits)
+        assert len(records) == count
+        measured = [r for r in records if r.q >= 2]
+        with mp.workdps(digits + 60):
+            zeta2 = mp.pi**2 / 6
+            # q |zeta2 - p/q|, to about digits + 60 - 2 max_q_exponent places
+            scaled = [abs(zeta2 * r.q - r.p) for r in measured]
+        with mp.workdps(40):
+            for r, d in zip(measured, scaled):
+                log_q = mp.log(r.q)
+                exact = float((log_q - mp.log(d)) / log_q)
+                assert abs(r.exponent - exact) <= 2 * math.ulp(exact), r.index
+
     def test_huge_max_q_matches_fraction_reference(self):
         # 594 convergents lie below 10^300, so the report needs far more
         # than 200 partial quotients
         max_q = 10**300
         records, best = zeta2_exponent_report(max_q)
-        kept, exponents = reference_exponent_report(max_q)
+        kept, midpoints = reference_exponent_report(max_q)
         assert len(records) == len(kept) == 594
         assert [(r.index, r.partial_quotient, r.p, r.q) for r in records] == [
             (r.index, r.partial_quotient, r.p, r.q) for r in kept
         ]
-        assert [r.exponent for r in records] == exponents
-        assert best == max(e for e in exponents if e is not None)
+        mp = pytest.importorskip("mpmath")
+        beyond = 0
+        for r, mid in zip(records, midpoints):
+            if mid is None:
+                assert r.exponent is None
+            elif mid > 2.0**-1022:
+                assert r.exponent == -math.log(float(mid)) / math.log(r.q)
+            else:
+                beyond += 1
+                with mp.workdps(40):
+                    exact = float(-mp.log(mp.mpf(mid.numerator) / mid.denominator) / mp.log(r.q))
+                assert abs(r.exponent - exact) <= 2 * math.ulp(exact), r.index
+        assert beyond > 0
+        assert best == max(r.exponent for r in records if r.exponent is not None)
 
     def test_unseparated_raises(self):
         enc = zeta2_enclosure(10)
@@ -285,26 +317,27 @@ class TestOneRungSeparates:
 
 
 def reference_exponent_report(max_q, digits=60):
-    """The digit-doubling loop on the Fraction Gauss map and Fraction gaps."""
+    """The digit-doubling loop on the Fraction Gauss map and Fraction gaps:
+    the kept convergents and their gap enclosures' midpoints (None at q < 2)."""
     while True:
         enc = zeta2_enclosure(digits)
         records = convergents(reference_continued_fraction(enc, 20000))
         if records[-1].q > max_q:
             kept = [r for r in records if r.q <= max_q]
-            exponents = []
+            midpoints = []
             for r in kept:
                 target = Fraction(r.p, r.q)
                 if r.q < 2:
-                    exponents.append(None)
+                    midpoints.append(None)
                     continue
                 if enc.lo < target < enc.hi:
                     break
                 gap = enc.abs_distance_to(target)
                 if not gap.width < gap.lo:
                     break
-                exponents.append(-log_rational(gap.midpoint) / math.log(r.q))
+                midpoints.append(gap.midpoint)
             else:
-                return kept, exponents
+                return kept, midpoints
         digits *= 2
 
 

@@ -14,15 +14,14 @@ from pistair import (
     RealEnclosure,
     ResourceLimitError,
     as_rational,
-    log_rational,
     rational_exp_upper,
     rational_str,
     zeta2_enclosure,
 )
 from pistair import arith
 from pistair.arith import (
-    FFT_FROM_BITS, GUARD_DIGITS, _chudnovsky_sums, _fraction_over_smooth, _pi_scaled,
-    digit_ladder, int_power, neg_log_gaps,
+    FFT_FROM_BITS, GUARD_DIGITS, _chudnovsky_sums, _fraction_over_smooth, _log_ratio,
+    _pi_scaled, digit_ladder, int_power, neg_log_gaps,
 )
 from pistair.verify import exp_taylor_enclosure
 
@@ -56,14 +55,37 @@ class TestRealEnclosure:
             enc.abs_distance_to(Fraction(8, 5))
 
 
-def reference_neg_log_gap(x, r):
-    """The Fraction path: abs_distance_to, width < lo, -log_rational(midpoint)."""
+def reference_gap_midpoint(x, r):
+    """The Fraction path: abs_distance_to, width < lo, then the midpoint."""
     if x.lo < r < x.hi:
         return None
     gap = x.abs_distance_to(r)
     if not gap.width < gap.lo:
         return None
-    return -log_rational(gap.midpoint)
+    return gap.midpoint
+
+
+def assert_neg_log_gaps_match(got, x, targets):
+    """got[i] is -ln of the Fraction path's midpoint for targets[i]: the log
+    of its reduced quotient's float in the normal range, and within 2 ulps
+    of mpmath beyond it."""
+    assert len(got) == len(targets)
+    for g, r in zip(got, targets):
+        mid = reference_gap_midpoint(x, r)
+        if mid is None:
+            assert g is None, r
+        elif 2.0**-1022 < mid < 2.0**1023:
+            assert g == -math.log(float(mid)), r
+        else:
+            assert_within_two_ulps_of_mpmath(-g, mid.numerator, mid.denominator)
+
+
+def assert_within_two_ulps_of_mpmath(got, a, b):
+    """got is ln(a/b) to 2 ulps, for ints a, b > 0."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = mp.log(mp.mpf(a)) - mp.log(mp.mpf(b))
+    assert abs(got - exact) <= 2 * math.ulp(float(exact)), (a, b)
 
 
 def rationals(max_value=10**12):
@@ -91,6 +113,30 @@ def enclosures_and_targets(draw):
     return x, targets
 
 
+class TestLogRatio:
+    @given(st.integers(1, 2**5000), st.integers(-1020, 1020), st.integers(1, 2**1000))
+    @settings(max_examples=300, deadline=None)
+    def test_normal_range_is_the_log_of_the_reduced_quotient(self, a, shift, common):
+        # a/b lies within a factor 2 of 2^shift, and shares the factor common
+        b = max(a >> shift if shift > 0 else a << -shift, 1)
+        assert _log_ratio(a * common, b * common) == math.log(float(Fraction(a, b)))
+
+    @given(
+        st.integers(1, 2**1000),
+        st.integers(1, 2**1000),
+        st.integers(2**2048, 2**3000),
+        st.integers(1, 2**1000),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_beyond_the_normal_range_within_two_ulps(self, a, b, big, common, invert):
+        # a big / b > 2^1048, so it and its inverse both lie past the float range
+        a, b = (a * big * common, b * common)
+        if invert:
+            a, b = b, a
+        assert_within_two_ulps_of_mpmath(_log_ratio(a, b), a, b)
+
+
 class TestNegLogGaps:
     @given(enclosures_and_targets(), st.integers(1, 5))
     @settings(max_examples=400, deadline=None)
@@ -98,7 +144,7 @@ class TestNegLogGaps:
         x, targets = case
         # p/q need not be in lowest terms
         pairs = [(scale * r.numerator, scale * r.denominator) for r in targets]
-        assert neg_log_gaps(x, pairs) == [reference_neg_log_gap(x, r) for r in targets]
+        assert_neg_log_gaps_match(neg_log_gaps(x, pairs), x, targets)
 
     @pytest.mark.parametrize("digits", [30, 700])
     def test_euler_like_targets_on_zeta2(self, digits):
@@ -106,22 +152,21 @@ class TestNegLogGaps:
         targets = [Fraction(3, 2), Fraction(5, 3), Fraction(1225, 768), enc.lo, enc.hi]
         targets += [enc.lo - Fraction(1, 10**k) for k in range(1, digits + 30, 7)]
         got = neg_log_gaps(enc, [r.as_integer_ratio() for r in targets])
-        want = [reference_neg_log_gap(enc, r) for r in targets]
-        assert got == want
+        assert_neg_log_gaps_match(got, enc, targets)
         for g, r in zip(got[:3], targets[:3]):
             assert g == pytest.approx(-math.log(abs(float(r) - math.pi**2 / 6)), rel=1e-12)
         # the offsets run from separated gaps to ones narrower than the enclosure
-        assert None in want[5:] and any(w is not None for w in want[5:])
+        assert None in got[5:] and any(g is not None for g in got[5:])
 
     def test_inside_and_endpoints_refused(self):
         enc = RealEnclosure(Fraction(3, 2), Fraction(5, 3))
         assert neg_log_gaps(enc, [(8, 5), (3, 2), (5, 3)]) == [None, None, None]
         # 0 is separated by 3/2 against a width of 1/6
-        assert neg_log_gaps(enc, [(0, 1)]) == [-log_rational(Fraction(19, 12))]
+        assert neg_log_gaps(enc, [(0, 1)]) == [-math.log(19 / 12)]
         # a gap enclosure as wide as its lower end is refused on either side
         unit = RealEnclosure(Fraction(1), Fraction(2))
         got = neg_log_gaps(unit, [(0, 1), (3, 1), (-1, 1)])
-        assert got == [None, None, -log_rational(Fraction(5, 2))]
+        assert got == [None, None, -math.log(5 / 2)]
 
 
 class TestDigitLadder:

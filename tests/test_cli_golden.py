@@ -7,7 +7,8 @@ primes, and the factorial-capped reports at their cap N = 2000.  Each
 `verify` suite is pinned on its own, and the whole run once more as CSV.
 Every pinned output but the CSV run is also checked by the benchmark's
 oracle (`perfbench/oracle.py`), which recomputes it from sympy and mpmath,
-so a recorded hash pins only output that the oracle accepts.
+so a recorded hash pins only output that the oracle accepts; so are two
+staircase outputs that tests/test_cli.py pins or checks.
 
 The parser is pinned too: the help text of the program and of each
 subcommand (at a fixed 80-column width), the version line, and the exact
@@ -125,6 +126,12 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 #: verify check compares typed JSON values with CSV strings, a fault of the
 #: oracle.  Its records are those of the pinned JSON `verify --suite all`.
 ORACLE_EXCLUDED = {"verify --suite all --format csv"}
+#: Staircase outputs pinned or checked in tests/test_cli.py: the 2000-step
+#: certificate, and the run refused past the sieve after a ~20000-digit end.
+ORACLE_EXTRA = [
+    "staircase --mode factorial-squared --steps 2000",
+    "staircase --mode power-2piN --m 20 --start 1000 --steps 2",
+]
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +144,7 @@ def oracle():
     return module, module.Oracle()
 
 
-@pytest.mark.parametrize("command", sorted(set(GOLDEN) - ORACLE_EXCLUDED))
+@pytest.mark.parametrize("command", sorted(set(GOLDEN) - ORACLE_EXCLUDED) + ORACLE_EXTRA)
 def test_oracle_accepts_pinned_output(capsys, oracle, command):
     module, o = oracle
     argv = tuple(command.split())

@@ -1,4 +1,5 @@
 import fractions
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -21,6 +22,7 @@ from pistair import (
     tail_product_upper,
     zeta2_enclosure,
 )
+from pistair import cli
 from pistair.arith import _coprime_fraction
 from pistair.euler import FACTORED_FROM
 from pistair.primes import PrimeTable
@@ -41,6 +43,11 @@ def brute_force_product(primes, N):
     return Fraction(num, den)
 
 
+def cli_euler_record(capsys, N):
+    assert cli.run_cli(["euler", "--N", str(N)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestEulerProduct:
     def test_empty_product(self, table3k):
         assert euler_product(table3k, 1).value == Fraction(1)
@@ -50,19 +57,22 @@ class TestEulerProduct:
         assert euler_product(table3k, 5).value == Fraction(25, 16)
         assert euler_product(table3k, 10).value == Fraction(1225, 768)
 
-    def test_q_digits(self, table3k):
-        assert euler_product(table3k, 10).q_digits == 3
+    # The euler command counts q_N's digits in the "p/q" value it prints.
+
+    def test_q_digits(self, capsys):
+        assert cli_euler_record(capsys, 10)["q_digits"] == 3
 
     @pytest.mark.parametrize("k", [0, 1, 2, 15, 16, 17, 300, 4299, 4300, 4301, 20_000])
-    def test_q_digits_at_powers_of_ten(self, k):
+    def test_q_digits_at_powers_of_ten(self, capsys, monkeypatch, k):
         for q in (10**k - 1, 10**k, 10**k + 1):
             if q >= 1:
-                digits = len(str(Decimal(q)))
-                assert EulerApproximation(1, Fraction(1, q)).q_digits == digits
+                planted = EulerApproximation(1, Fraction(1, q))
+                monkeypatch.setattr(cli, "euler_product", lambda t, N: planted)
+                assert cli_euler_record(capsys, 1)["q_digits"] == len(str(Decimal(q)))
 
-    def test_q_digits_past_the_int_str_limit(self):
-        approx = euler_product(sieve(10_000), 10_000)
-        assert approx.q_digits == len(str(Decimal(approx.value.denominator)))
+    def test_q_digits_past_the_int_str_limit(self, capsys):
+        q = euler_product(sieve(10_000), 10_000).value.denominator
+        assert cli_euler_record(capsys, 10_000)["q_digits"] == len(str(Decimal(q))) > 4300
 
     def test_brute_force_agreement(self, table3k):
         primes = table3k.primes.tolist()

@@ -21,7 +21,6 @@ from pistair import (
     lcm_to,
     log_lcm_table,
     log_lcm_to,
-    log_rational,
     max_power_at_most,
     nth_prime,
     power_tower,
@@ -43,7 +42,6 @@ ONE_TWO = RealEnclosure(Fraction(1), Fraction(2))
 #: that the call must raise, or else the value it must return
 CASES = {
     "as_rational": (lambda: as_rational(None), DomainError("cannot interpret None")),
-    "log_rational": (lambda: log_rational(Fraction(0)), DomainError("non-positive")),
     "continued_fraction": (lambda: continued_fraction(ONE_TWO, 0), DomainError("max_terms")),
     "convergents": (lambda: convergents([-1]), DomainError("leading quotient")),
     "sondow": (lambda: sondow_inequality_check(T, 0, 5), RangeError("n must be >= 1")),

@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import json
 import math
 import random
+import signal
 import types
 from decimal import Decimal, localcontext
 
@@ -727,6 +729,22 @@ with localcontext() as _ctx:
     LNLN2_60 = LN2_60.ln()
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for seconds, so a
+    loop that should not run at all fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestEuclidBaseline:
     def test_examples(self):
         assert euclid_baseline(tower_normalize(0, 4)) == 1
@@ -781,6 +799,24 @@ class TestEuclidBaseline:
         # a negative level has no meaning; tower_normalize refuses it too
         with pytest.raises(DomainError, match="tower level must be >= 0, got -1"):
             euclid_baseline(LogTower(-1, 5.0))
+
+    def test_deep_tower_refused_at_the_first_overflow(self, monkeypatch):
+        # exp^3(1.5) > 709, so the fourth exp would overflow; the 2^31 - 5
+        # levels above it add no work before the refusal
+        exps = []
+        monkeypatch.setattr(staircase, "math", types.SimpleNamespace(
+            **{**vars(math), "exp": lambda v: exps.append(v) or math.exp(v)}
+        ))
+        with deadline(5), pytest.raises(ResourceLimitError, match="tower too deep"):
+            euclid_baseline(LogTower(2**31, 1.5))
+        assert len(exps) == 3
+
+    def test_deep_tower_refused_by_the_cli(self, capsys):
+        with deadline(5):
+            code = run_cli(["euclid", "--level", str(2**31), "--mantissa", "1.5"])
+        err = json.loads(capsys.readouterr().err)
+        assert (code, err["error"]) == (2, "ResourceLimitError")
+        assert "tower too deep" in err["reason"]
 
     def test_huge_tower(self):
         t = tower_normalize(3, 1.5)  # exp(exp(exp(1.5)))
