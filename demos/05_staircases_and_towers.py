@@ -45,7 +45,7 @@ for entry in theorem2_sequence(8):
 print("\n" + "=" * 72)
 print("  The a_(n+1) = a_n + log a_n recursion tracks the n-th prime")
 print("=" * 72)
-report = theorem3_sequence(10**6, t, checkpoints=[10**3, 10**4, 10**5])
+report = theorem3_sequence(10**6, t)
 print(f"\nsandwich n log n - n < a_n <= 2 n log n held at every step: {report.sandwich_ok}")
 print(f"{'n':>8} {'a_n':>14} {'p_n':>10} {'rel diff':>10}")
 for c in report.checkpoints:

@@ -310,6 +310,13 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main() -> int:
+    # a reader that closes the pipe ends the process as it ends any Unix
+    # filter, not as an internal failure.  signal is imported here, so that
+    # importing this module for run_cli does not load it.
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return run_cli(sys.argv[1:])
 
 

@@ -165,13 +165,9 @@ def _check_factorial_cap(N: int) -> None:
 
 def qn_bound_report(t: PrimeTable, N: int) -> QnBoundReport:
     """Check q_N <= prod_{p<=N}(p^2-1) <= N^(2 pi(N)) and q_N <= (N!)^2 exactly."""
-    if N < 1:
-        raise RangeError(f"N must be >= 1, got {N}")
-    if N > t.limit:
-        raise RangeError(f"bound report at {N} needs a sieve beyond {t.limit}")
     _check_factorial_cap(N)
+    q = euler_product(t, N).value.denominator
     k = prime_count(t, N)
-    q = _product(t, k).denominator
     prod = product_tree([p * p - 1 for p in t.primes[:k].tolist()])
     n_pow = N ** (2 * k)
     fact_sq = math.factorial(N) ** 2

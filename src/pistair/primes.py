@@ -108,7 +108,8 @@ def _collect(flags: np.ndarray, low: int, out: np.ndarray) -> int:
 
     They are found in int64, as np.nonzero gives them, one slice of
     _COLLECT_SLICE flags at a time, and cast into out's dtype only as they
-    are stored.
+    are stored.  In the first segment (low = 1) the flag of 1 stands for 2,
+    and 2 is what is written.
     """
     count = 0
     for start in range(0, len(flags), _COLLECT_SLICE):
@@ -117,6 +118,8 @@ def _collect(flags: np.ndarray, low: int, out: np.ndarray) -> int:
         found += low + 2 * start
         out[count : count + len(found)] = found
         count += len(found)
+    if low == 1:
+        out[0] = 2
     return count
 
 
@@ -220,7 +223,6 @@ def sieve(limit: int, segment_size: int | None = None) -> PrimeTable:
     count = 0
     for low, flags in _segments(limit, page):
         count += _collect(flags, low, table[count:])
-    table[0] = 2
     return PrimeTable(limit, table[:count])
 
 
@@ -248,8 +250,6 @@ def nth_primes(limit: int, ns) -> dict[int, int]:
         if wanted[-1] <= count + here:
             primes = np.empty(here, dtype=int_dtype(limit))
             _collect(flags, low, primes)
-            if low == 1:
-                primes[0] = 2  # the flag of 1 stands for 2
             while wanted and wanted[-1] <= count + here:
                 n = wanted.pop()
                 found[n] = int(primes[n - count - 1])
@@ -360,8 +360,6 @@ def log_lcm_to(t: PrimeTable, n: int) -> LcmLogReport:
         raise RangeError(f"n must be >= 1, got {n}")
     if n > t.limit:
         raise RangeError(f"log lcm to {n} needs a sieve beyond limit {t.limit}")
-    if n == 1:
-        return LcmLogReport(1, 0.0, 0.0, 0.0)
     log_n = math.log(n)
     cut = int(count_at_most(t.primes, n))
     primes = t.primes[:cut]

@@ -262,8 +262,8 @@ def theorem2_sequence(n_max: int) -> list[DoubleExpEntry]:
 class GapRecursionCheckpoint:
     n: int
     a_n: float
-    p_n: int | None
-    rel_diff: float | None
+    p_n: int
+    rel_diff: float
 
 
 @dataclass(frozen=True)
@@ -293,17 +293,15 @@ LOG_ULPS = 64
 
 
 def theorem3_sequence(
-    n_max: int,
-    t: PrimeTable | Mapping[int, int] | None = None,
-    checkpoints: list[int] | None = None,
+    n_max: int, t: PrimeTable | Mapping[int, int] | None = None
 ) -> GapRecursionReport:
     """Iterate a_2 = e, a_{n+1} = a_n + log a_n and verify the sandwich.
 
-    n log n - n < a_n <= 2 n log n is checked at every step.  With primes,
-    |a_n - p_n|/p_n is reported at the checkpoints.  t is a prime table
-    (default checkpoints: those of ``THEOREM3_CHECKPOINTS`` it can answer)
-    or a mapping n -> p_n such as primes.nth_primes returns (default: its
-    keys).
+    n log n - n < a_n <= 2 n log n is checked at every step, and
+    |a_n - p_n|/p_n is reported at the checkpoints, which come from t: a
+    prime table gives those of ``THEOREM3_CHECKPOINTS`` it can answer, a
+    mapping n -> p_n such as primes.nth_primes returns gives its keys, and
+    None gives none.
 
     Every a_n is the float of the scalar loop ``a += math.log(a)``, bit for
     bit.  The recursion runs in blocks of at most ``THEOREM3_CHUNK`` values;
@@ -348,20 +346,11 @@ def theorem3_sequence(
     """
     if n_max < 2:
         raise RangeError(f"n_max must be >= 2, got {n_max}")
-    if checkpoints is not None:
-        wanted = sorted(set(checkpoints))
-    elif t is None:
-        wanted = []
-    elif isinstance(t, PrimeTable):
-        wanted = [n for n in THEOREM3_CHECKPOINTS if n <= min(n_max, len(t.primes))]
-    else:
-        wanted = sorted(t)
+    if isinstance(t, PrimeTable):  # from here on, n -> p_n
+        t = {n: nth_prime(t, n) for n in THEOREM3_CHECKPOINTS if n <= min(n_max, len(t.primes))}
+    wanted = sorted(t or ())
     if any(c < 2 or c > n_max for c in wanted):
         raise RangeError(f"checkpoints must lie in [2, {n_max}]")
-    if isinstance(t, PrimeTable):
-        t = {n: nth_prime(t, n) for n in wanted}  # from here on, n -> p_n
-    elif t is not None and any(n not in t for n in wanted):
-        raise RangeError(f"no p_n given for checkpoints {[n for n in wanted if n not in t]}")
 
     a = math.e
     first_violation = None
@@ -378,12 +367,8 @@ def theorem3_sequence(
         steps = np.diff(x if hi <= n_max else block)
         min_increment = min(min_increment, float(steps.min(initial=math.inf)))
         for n in wanted[bisect_left(wanted, lo) : bisect_left(wanted, hi)]:
-            a_n = float(x[n - lo])
-            if t is None:
-                marks.append(GapRecursionCheckpoint(n, a_n, None, None))
-            else:
-                p_n = t[n]
-                marks.append(GapRecursionCheckpoint(n, a_n, p_n, abs(a_n - p_n) / p_n))
+            a_n, p_n = float(x[n - lo]), t[n]
+            marks.append(GapRecursionCheckpoint(n, a_n, p_n, abs(a_n - p_n) / p_n))
     return GapRecursionReport(
         n_max=n_max,
         a_final=float(block[-1]),

@@ -29,7 +29,7 @@ from .errors import DomainError, ResourceLimitError
 from .euler import approximation_gap, euler_product, qn_bound_report, tail_product_upper
 from .primes import (
     count_at_most, lcm_to, log_lcm_table, log_lcm_to, nth_prime, nth_prime_limit_estimate,
-    prime_count, sieve,
+    nth_primes, prime_count, sieve,
 )
 from .staircase import (
     euclid_baseline, staircase_certify, theorem1_gate, theorem2_sequence, theorem3_sequence,
@@ -311,8 +311,7 @@ def double_exp_closed_form(n_max: int):
 @_check("staircase", "gap recursion sandwich holds to 10^4", 10**4)
 def gap_sandwich(n_max: int):
     """Checks the a_n sandwich; returns the report, with p_(n_max) at its checkpoint."""
-    t = sieve(nth_prime_limit_estimate(n_max))
-    report = theorem3_sequence(n_max, t, checkpoints=[n_max])
+    report = theorem3_sequence(n_max, nth_primes(nth_prime_limit_estimate(n_max), [n_max]))
     violation = report.first_sandwich_violation
     _require(report.sandwich_ok and violation is None, "sandwich fails at n=%s", violation)
     return report

@@ -54,7 +54,7 @@ def test_criterion_4_lcm_growth():
 
 def test_criterion_5_gap_recursion_numerics():
     with criterion(5, "a_{10^6} near 15479041, 0.044% from p_{10^6}, sandwich", 120):
-        report = verify.gap_sandwich(10**6)  # sieves inside, so timed per the budget
+        report = verify.gap_sandwich(10**6)  # finds p_(10^6) inside, timed per the budget
         assert abs(report.a_final - 15479041) / 15479041 < 0.001
         checkpoint = report.checkpoints[-1]
         assert checkpoint.p_n == 15485863

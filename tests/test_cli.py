@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import textwrap
@@ -433,6 +434,24 @@ class TestErrors:
         record = json.loads(line)
         assert set(record) == {"error", "reason"}
         assert record["error"] == error.__name__
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_closed_stdout_ends_like_a_unix_filter(self):
+        # d_200000 prints ~87 KB, more than a 64 KB pipe buffer holds, so
+        # the process is still writing when the reader closes its end
+        src = pathlib.Path(pistair.__file__).resolve().parent.parent
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pistair", "dn", "--n", "200000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == -signal.SIGPIPE
+        assert err == b""
 
     def test_malformed_env_cap_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("PISTAIR_DIGIT_CAP", "abc")

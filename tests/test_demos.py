@@ -2,7 +2,8 @@
 
 Each demo's stdout is hashed and compared with a recorded sha256, as
 test_cli_golden.py does for the CLI, so a refactor that changes any
-printed byte of a demo fails here.
+printed byte of a demo fails here.  README's library quick start runs
+too, and prints what its comments say it prints.
 """
 
 import hashlib
@@ -12,7 +13,8 @@ import sys
 
 import pytest
 
-DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
 
 GOLDEN = {
     "01_enclosing_zeta2.py": "d2b0b9254ddf5d4bae4715520bb29538d2d947fdc12cdcfc6be5528e2983d5c4",
@@ -32,3 +34,19 @@ def test_demo_runs_clean(script):
     )
     assert result.returncode == 0, result.stderr[-2000:].decode(errors="replace")
     assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN[script.name]
+
+
+def test_readme_quick_start(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # the values that print lines state in a trailing comment
+    stated = [
+        line.split("  # ", 1)[1].strip()
+        for line in block.splitlines()
+        if line.startswith("print(") and "  # " in line
+    ]
+    assert stated == ["1225/768", "[(1000, 7919), (10000, 104729)]"]
+    assert all(value in printed for value in stated)

@@ -20,9 +20,10 @@ from pistair import (
     rational_exp_upper,
     sieve,
     tail_product_upper,
+    theorem1_gate,
     zeta2_enclosure,
 )
-from pistair import cli
+from pistair import cli, euler
 from pistair.arith import _coprime_fraction
 from pistair.euler import FACTORED_FROM
 from pistair.primes import PrimeTable
@@ -248,6 +249,24 @@ class TestQnBounds:
         monkeypatch.setenv("PISTAIR_FACTORIAL_CAP", "100")
         with pytest.raises(ResourceLimitError):
             qn_bound_report(table3k, 101)
+
+    def test_q_comes_from_euler_product(self, table3k, monkeypatch):
+        planted = EulerApproximation(10, Fraction(1, 7))
+        monkeypatch.setattr(euler, "euler_product", lambda t, N: planted)
+        assert qn_bound_report(table3k, 10).q == 7
+
+
+def test_ascending_sweep_forms_each_product_once(table3k):
+    # the four reports at one N, and every N up to the next prime, share
+    # one product through euler_product's cache: pi(300) = 62
+    t = fresh(table3k)
+    euler._product.cache_clear()
+    for N in range(1, 301):
+        euler_product(t, N)
+        qn_bound_report(t, N)
+        theorem1_gate(t, N)
+        approximation_gap(t, N, 30)
+    assert euler._product.cache_info().misses == 63
 
 
 class TestTailProductUpper:

@@ -62,7 +62,7 @@ CASES = {
     "theorem1_first_passing": (lambda: theorem1_first_passing(T, 1), None),
     "theorem2": (lambda: theorem2_sequence(-1), RangeError("n_max must be >= 0")),
     "theorem3_checkpoint": (
-        lambda: theorem3_sequence(10, checkpoints=[11]),
+        lambda: theorem3_sequence(10, {11: 31}),
         RangeError("checkpoints must lie"),
     ),
     "staircase_start": (

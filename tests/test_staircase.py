@@ -29,7 +29,7 @@ from pistair import (
     theorem3_sequence,
     tower_normalize,
 )
-from pistair import staircase
+from pistair import staircase, verify
 from pistair.cli import run_cli
 from pistair.primes import nth_prime
 from pistair.staircase import (
@@ -322,7 +322,7 @@ class TestGapRecursion:
         assert rep.min_increment >= 1.0
 
     def test_checkpoints_against_primes(self, table100k):
-        rep = theorem3_sequence(5000, table100k, checkpoints=[1000, 5000])
+        rep = theorem3_sequence(5000, {n: nth_prime(table100k, n) for n in (1000, 5000)})
         assert [c.n for c in rep.checkpoints] == [1000, 5000]
         for c in rep.checkpoints:
             assert c.p_n == int(table100k.primes[c.n - 1])
@@ -332,8 +332,7 @@ class TestGapRecursion:
         # re-run in 80-bit floats; the recursion is well-conditioned, so the
         # double path must track it closely at every decade checkpoint
         targets = (10**3, 10**4, 10**5, 10**6)
-        report = theorem3_sequence(10**6, checkpoints=list(targets))
-        doubles = {c.n: c.a_n for c in report.checkpoints}
+        doubles = {n: theorem3_sequence(n).a_final for n in targets}
         a80 = np.longdouble(math.e)
         for n in range(2, 10**6 + 1):
             if n in targets:
@@ -341,11 +340,6 @@ class TestGapRecursion:
             if n == 10**6:
                 break
             a80 = a80 + np.log(a80)
-
-    def test_checkpoints_without_table(self):
-        report = theorem3_sequence(100, checkpoints=[50])
-        assert report.checkpoints[0].p_n is None
-        assert report.checkpoints[0].rel_diff is None
 
     def test_rejects_bad_range(self):
         with pytest.raises(RangeError):
@@ -373,20 +367,16 @@ class TestGapRecursion:
         assert all(type(v) is float for v in floats)
 
     def test_prime_mapping_as_table(self, table100k):
-        primes = {n: nth_prime(table100k, n) for n in (1000, 5000)}
-        ours = theorem3_sequence(5000, primes)
-        assert dataclasses.asdict(ours) == dataclasses.asdict(
-            theorem3_sequence(5000, table100k, checkpoints=[1000, 5000])
-        )
-        with pytest.raises(RangeError, match="no p_n"):
-            theorem3_sequence(5000, primes, checkpoints=[1000, 2000])
+        # table100k answers the default checkpoints up to 5000: 10^3 only
+        ours = theorem3_sequence(5000, {1000: nth_prime(table100k, 1000)})
+        assert dataclasses.asdict(ours) == dataclasses.asdict(theorem3_sequence(5000, table100k))
 
     @pytest.mark.parametrize("n", [3, 100, EDGE, 2 * EDGE - 1, 2 * EDGE + 4])
     def test_min_increment_is_measured(self, monkeypatch, n):
         # a planted recursion steps by 0.5 from a_n, below the first step log e = 1;
         # the step from a_(n_max) is never taken
         n_max = 2 * self.EDGE + 4
-        a_n = theorem3_sequence(n_max, checkpoints=[n]).checkpoints[0].a_n
+        a_n = theorem3_sequence(n).a_final
         planted = types.SimpleNamespace(
             **{**vars(math), "log": lambda a: 0.5 if a == a_n else math.log(a)}
         )
@@ -399,7 +389,7 @@ class TestGapRecursion:
         # its error reaches only the start of the next block
         n = 2 + 5 * THEOREM3_CHUNK - 1
         n_max = n + THEOREM3_CHUNK
-        a_n = theorem3_sequence(n_max, checkpoints=[n]).checkpoints[0].a_n
+        a_n = theorem3_sequence(n).a_final
         assert a_n > 1.2 * THEOREM3_VECTOR_FROM
         real_log = np.log
         monkeypatch.setattr(staircase, "math", types.SimpleNamespace(
@@ -418,14 +408,22 @@ class TestGapRecursion:
         assert len(solved) == 2 and all(x is not None for x in solved)
         assert any(np.any(np.diff(x) == 0.5) for x in solved)
 
+    def test_gap_sandwich_keeps_no_table(self, monkeypatch):
+        # p_n comes from nth_primes, which sieves segment by segment
+        def refuse(*args, **kwargs):
+            raise AssertionError("gap_sandwich built a prime table")
+
+        monkeypatch.setattr(verify, "sieve", refuse)
+        report = verify.gap_sandwich(10**4)
+        assert [(c.n, c.p_n) for c in report.checkpoints] == [(10**4, 104729)]
+
     def test_checkpoints_across_block_edges(self, table100k):
         edge = self.EDGE  # the second block holds edge + 1 .. 2 * edge - 1
         n_max = 2 * edge + 1
         marks = [2, edge, edge + 1, 2 * edge - 1, 2 * edge, n_max]
-        for t in (None, table100k):
-            ours = theorem3_sequence(n_max, t, checkpoints=marks)
-            ref = gap_recursion_stepwise(n_max, t, checkpoints=marks)
-            assert dataclasses.asdict(ours) == dataclasses.asdict(ref)
+        ours = theorem3_sequence(n_max, {n: nth_prime(table100k, n) for n in marks})
+        ref = gap_recursion_stepwise(n_max, table100k, checkpoints=marks)
+        assert dataclasses.asdict(ours) == dataclasses.asdict(ref)
 
 
 def scalar_block(a, m):
@@ -557,9 +555,8 @@ def gap_recursion_stepwise(n_max, t=None, checkpoints=()):
         if not (n * log_n - n < a <= 2 * n * log_n) and first_violation is None:
             first_violation = n
         if n in checkpoints:
-            p_n = None if t is None else nth_prime(t, n)
-            rel = None if t is None else abs(a - p_n) / p_n
-            marks.append(GapRecursionCheckpoint(n, a, p_n, rel))
+            p_n = nth_prime(t, n)
+            marks.append(GapRecursionCheckpoint(n, a, p_n, abs(a - p_n) / p_n))
         if n == n_max:
             break
         a_next = a + math.log(a)
