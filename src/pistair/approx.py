@@ -209,7 +209,7 @@ def sondow_inequality_check(t: PrimeTable, n: int, mu_bound) -> SondowCheck:
     is a float within a few ulps of its value, so when the sides differ by
     more than SONDOW_LOG_MARGIN relative the order of the floats decides.
     Near a tie the two powers are compared exactly if their digit count fits
-    config.bigint_digit_budget(); otherwise ResourceLimitError is raised
+    the config.BIGINT_DIGITS budget; otherwise ResourceLimitError is raised
     before either power is built.
     """
     if n < 1:
@@ -225,12 +225,12 @@ def sondow_inequality_check(t: PrimeTable, n: int, mu_bound) -> SondowCheck:
         holds = lhs < rhs
     else:
         # the larger power has about exp(max(lhs, rhs)) / ln 10 digits
-        budget = config.bigint_digit_budget()
+        budget = config.cap(config.BIGINT_DIGITS)
         if max(lhs, rhs) > math.log(budget * math.log(10)):
             raise ResourceLimitError(
                 f"mu is a near tie at n = {n}; deciding it exactly needs "
                 f"powers beyond {budget} digits "
-                f"(raise {config.ENV_BIGINT_DIGITS} to override)"
+                f"(raise {config.BIGINT_DIGITS} to override)"
             )
         holds = p_next**mu.denominator <= primorial ** (2 * mu.numerator)
     return SondowCheck(n=n, p_next=p_next, primorial=primorial, mu=mu, holds=holds)

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .errors import DomainError, PrecisionExhaustedError, ResourceLimitError
+from .errors import DomainError, PrecisionExhaustedError
 from .records import rational_str
 
 #: Extra decimal places carried in the integer bounds on pi.  They absorb
@@ -62,17 +62,11 @@ def as_rational(value) -> Fraction:
     Floats go through their shortest decimal repr, so ``as_rational(5.45)``
     is 109/20, not the 53-bit binary neighbour of 5.45.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, float, str)):
         try:
-            return Fraction(value)
+            return Fraction(repr(value) if isinstance(value, float) else value)
         except (ValueError, ZeroDivisionError):
-            raise DomainError(f"cannot interpret {value!r} as an exact rational") from None
+            pass
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -231,12 +225,7 @@ def zeta2_enclosure(digits: int) -> RealEnclosure:
     """
     if digits < 1:
         raise DomainError(f"digits must be >= 1, got {digits}")
-    cap = config.digit_cap()
-    if digits > cap:
-        raise ResourceLimitError(
-            f"digits={digits} exceeds the configured cap {cap} "
-            f"(raise {config.ENV_DIGIT_CAP} to override)"
-        )
+    config.refuse_above(config.DIGIT_CAP, digits, "digits=")
     m = digits + GUARD_DIGITS
     scale = 10**m
     pi_lo, pi_hi = _pi_scaled(scale)
@@ -258,7 +247,7 @@ def digit_ladder(digits: int) -> list[int]:
     """Working digits for refining an enclosure: digits, doubled up to the cap."""
     if digits < 1:
         raise DomainError(f"digits must be >= 1, got {digits}")
-    ladder, cap = [digits], config.digit_cap()
+    ladder, cap = [digits], config.cap(config.DIGIT_CAP)
     while ladder[-1] < cap:
         ladder.append(min(2 * ladder[-1], cap))
     return ladder

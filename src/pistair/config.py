@@ -1,50 +1,44 @@
 """Resource caps, overridable through environment variables.
 
 Caps are read at call time so a long-running process (or a test) can
-adjust them by setting the variable before the next operation.
+adjust them by setting the variable before the next operation.  Every cap
+is one DEFAULTS entry; a routine reads it with cap() or refuses work past
+it with refuse_above(), before the work starts.
 """
 
 import os
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
-ENV_SIEVE_LIMIT = "PISTAIR_SIEVE_LIMIT"
-ENV_DIGIT_CAP = "PISTAIR_DIGIT_CAP"
-ENV_FACTORIAL_CAP = "PISTAIR_FACTORIAL_CAP"
-ENV_BIGINT_DIGITS = "PISTAIR_BIGINT_DIGITS"
+SIEVE_LIMIT = "PISTAIR_SIEVE_LIMIT"
+DIGIT_CAP = "PISTAIR_DIGIT_CAP"
+FACTORIAL_CAP = "PISTAIR_FACTORIAL_CAP"
+BIGINT_DIGITS = "PISTAIR_BIGINT_DIGITS"
 
-DEFAULT_SIEVE_LIMIT = 200_000_000
-DEFAULT_DIGIT_CAP = 10_000
-DEFAULT_FACTORIAL_CAP = 2_000
-DEFAULT_BIGINT_DIGITS = 200_000
+#: variable -> default: the largest sieve limit, enclosure digits, N for
+#: (N!)-sized integers, and the staircase and near-tie Sondow digit budget
+DEFAULTS = {
+    SIEVE_LIMIT: 200_000_000,
+    DIGIT_CAP: 10_000,
+    FACTORIAL_CAP: 2_000,
+    BIGINT_DIGITS: 200_000,
+}
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
+def cap(variable: str) -> int:
+    """The cap named by variable: its environment value, else its default."""
+    raw = os.environ.get(variable, DEFAULTS[variable])
     try:
         return int(raw)
     except ValueError:
-        raise DomainError(f"{name} must be an integer, got {raw!r}") from None
+        raise DomainError(f"{variable} must be an integer, got {raw!r}") from None
 
 
-def sieve_limit_cap() -> int:
-    """Largest sieve limit accepted by pistair.primes.sieve."""
-    return _env_int(ENV_SIEVE_LIMIT, DEFAULT_SIEVE_LIMIT)
-
-
-def digit_cap() -> int:
-    """Largest decimal-digit request accepted by enclosure routines."""
-    return _env_int(ENV_DIGIT_CAP, DEFAULT_DIGIT_CAP)
-
-
-def factorial_cap() -> int:
-    """Largest N for which (N!)-sized exact integers are materialized."""
-    return _env_int(ENV_FACTORIAL_CAP, DEFAULT_FACTORIAL_CAP)
-
-
-def bigint_digit_budget() -> int:
-    """Decimal-digit budget above which staircase witnesses go logarithmic
-    and near-tie Sondow checks are refused."""
-    return _env_int(ENV_BIGINT_DIGITS, DEFAULT_BIGINT_DIGITS)
+def refuse_above(variable: str, value: int, what: str) -> None:
+    """Refuse a value past the cap, before any work: a ResourceLimitError
+    whose message names it as what + value."""
+    limit = cap(variable)
+    if value > limit:
+        raise ResourceLimitError(
+            f"{what}{value} exceeds the configured cap {limit} (raise {variable} to override)"
+        )

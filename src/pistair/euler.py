@@ -23,7 +23,7 @@ from .arith import (
     RealEnclosure, _coprime_fraction, as_rational, digit_ladder, neg_log_gaps, rational_exp_upper,
     zeta2_enclosure,
 )
-from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
+from .errors import DomainError, PrecisionExhaustedError, RangeError
 from .primes import PrimeTable, count_at_most, int_dtype, prime_count, product_tree
 from .records import decimal_field
 
@@ -153,19 +153,9 @@ class QnBoundReport:
     q_divides_prod: bool
 
 
-def _check_factorial_cap(N: int) -> None:
-    """Refuse an N past the factorial cap before (N!)-sized integers are built."""
-    cap = config.factorial_cap()
-    if N > cap:
-        raise ResourceLimitError(
-            f"N={N} exceeds the factorial cap {cap} "
-            f"(raise {config.ENV_FACTORIAL_CAP} to override)"
-        )
-
-
 def qn_bound_report(t: PrimeTable, N: int) -> QnBoundReport:
     """Check q_N <= prod_{p<=N}(p^2-1) <= N^(2 pi(N)) and q_N <= (N!)^2 exactly."""
-    _check_factorial_cap(N)
+    config.refuse_above(config.FACTORIAL_CAP, N, "N=")
     q = euler_product(t, N).value.denominator
     k = prime_count(t, N)
     prod = product_tree([p * p - 1 for p in t.primes[:k].tolist()])

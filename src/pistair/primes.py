@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import DomainError, RangeError, ResourceLimitError
+from .errors import DomainError, RangeError
 
 
 class PrimeTable:
@@ -131,12 +131,7 @@ def _checked_page(limit: int, segment_size: int | None) -> int:
         segment_size = DEFAULT_SEGMENT_SIZE
     elif segment_size < 2:
         raise RangeError(f"segment size must be >= 2 integers, got {segment_size}")
-    cap = config.sieve_limit_cap()
-    if limit > cap:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds the configured cap {cap} "
-            f"(raise {config.ENV_SIEVE_LIMIT} to override)"
-        )
+    config.refuse_above(config.SIEVE_LIMIT, limit, "sieve limit ")
     return segment_size // 2
 
 

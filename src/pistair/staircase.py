@@ -25,7 +25,7 @@ import numpy as np
 from . import config
 from .arith import int_power
 from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
-from .euler import _check_factorial_cap, euler_product
+from .euler import euler_product
 from .primes import PrimeTable, nth_prime, prime_count
 from .records import decimal_field, decimal_str
 
@@ -201,7 +201,7 @@ def theorem1_gate(t: PrimeTable, N: int) -> FactorialGate:
     its 4390 bits at N = 2000): there 97 us against 157 us for ``q**6``
     (best of 15, Python 3.11, 2-core Xeon).
     """
-    _check_factorial_cap(N)
+    config.refuse_above(config.FACTORIAL_CAP, N, "N=")
     q = euler_product(t, N).value.denominator
     f = int_power(math.factorial(N), 14)
     lhs = 10 * int_power(q, 6)
@@ -594,8 +594,8 @@ def staircase_certify(t: PrimeTable, b: float, m: int | None, q_mode: str, N_sta
     Under the hypothesis that the measure bound b holds (with m > b) and
     that Q really bounds q_N, each interval must contain a prime; steps
     inside the sieve range are confirmed unconditionally.  Witnesses are
-    exact integers while they fit the big-integer budget and, beyond it,
-    upper bounds in log and tower form (see _step).
+    exact integers while they fit the config.BIGINT_DIGITS budget and,
+    beyond it, upper bounds in log and tower form (see _step).
     """
     if q_mode not in Q_MODES:
         raise DomainError(f"q_mode must be one of {Q_MODES}, got {q_mode!r}")
@@ -606,6 +606,8 @@ def staircase_certify(t: PrimeTable, b: float, m: int | None, q_mode: str, N_sta
         raise DomainError(f"measure bound b must be >= 2, got {b}")
     if m is None:
         m = default_exponent(b)
+    if not isinstance(m, int):
+        raise DomainError(f"exponent m must be an integer, got {m}")
     if not m > b:
         raise DomainError(f"need exponent m > measure bound b, got m={m}, b={b}")
     if N_start < 2:
@@ -624,8 +626,8 @@ def staircase_certify(t: PrimeTable, b: float, m: int | None, q_mode: str, N_sta
             f"exponent m ~ 10^{math.log10(m):.1f}"
         )
 
-    budget = config.bigint_digit_budget()
-    q_cap = config.factorial_cap()
+    budget = config.cap(config.BIGINT_DIGITS)
+    q_cap = config.cap(config.FACTORIAL_CAP)
     chain: list[StaircaseStep] = []
     truncated = None
     current: "int | LogTower" = N_start
@@ -661,10 +663,13 @@ def euclid_baseline(x: LogTower | int) -> int:
     less than 2.1e4-fold while ln ln x fits a float.  That ends at level 1,
     as e^r != 2^(2^k) for a rational r != 0 (Lindemann); above it only
     Schanuel's conjecture says so, and the digit cap stops the doubling.
-    A negative level is refused, as tower_normalize refuses it.
+    A negative level or a non-finite mantissa is refused, as tower_normalize
+    refuses them.
     """
     if not isinstance(x, int) and x.level < 0:
         raise DomainError(f"tower level must be >= 0, got {x.level}")
+    if not isinstance(x, int) and not math.isfinite(x.mantissa):
+        raise DomainError(f"tower mantissa must be finite, got {x.mantissa}")
     if isinstance(x, int) or x.level == 0:
         n = x if isinstance(x, int) else math.floor(x.mantissa)
         return 0 if n < 2 else (n.bit_length() - 1).bit_length() - 1
@@ -677,7 +682,7 @@ def euclid_baseline(x: LogTower | int) -> int:
     if levels > 0 or not abs(lnln) < OVERFLOW:
         raise ResourceLimitError("tower too deep: the doubling count exceeds float range")
     prec = len(str(abs(math.floor(lnln / LN2)))) + 20
-    while prec <= config.digit_cap():
+    while prec <= config.cap(config.DIGIT_CAP):
         with localcontext() as ctx:
             ctx.prec = prec
             v = Decimal(x.mantissa).ln() if x.level == 1 else Decimal(x.mantissa)

@@ -372,8 +372,7 @@ def run_suite(name: str) -> list[CheckResult]:
     the caps are read once first, so a malformed one refuses the whole run."""
     if name != "all" and name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    for cap in (config.sieve_limit_cap, config.digit_cap, config.factorial_cap,
-                config.bigint_digit_budget):
-        cap()
+    for variable in config.DEFAULTS:
+        config.cap(variable)
     suites = SUITES if name == "all" else [name]
     return [_run(suite, *entry) for suite in suites for entry in SUITES[suite]]

@@ -4,6 +4,7 @@ Every refusal is a PistairError subclass, never a builtin exception type.
 Each case names a fragment of the message of the one line that refuses it.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ import pytest
 from pistair import (
     DomainError,
     LcmLogReport,
+    LogTower,
     RangeError,
     RealEnclosure,
     as_rational,
     continued_fraction,
     convergents,
+    euclid_baseline,
     euler_product,
     lcm_to,
     log_lcm_table,
@@ -42,6 +45,8 @@ ONE_TWO = RealEnclosure(Fraction(1), Fraction(2))
 #: that the call must raise, or else the value it must return
 CASES = {
     "as_rational": (lambda: as_rational(None), DomainError("cannot interpret None")),
+    "as_rational_nan": (lambda: as_rational(math.nan), DomainError("cannot interpret nan")),
+    "as_rational_inf": (lambda: as_rational(-math.inf), DomainError("cannot interpret -inf")),
     "continued_fraction": (lambda: continued_fraction(ONE_TWO, 0), DomainError("max_terms")),
     "convergents": (lambda: convergents([-1]), DomainError("leading quotient")),
     "sondow": (lambda: sondow_inequality_check(T, 0, 5), RangeError("n must be >= 1")),
@@ -58,6 +63,10 @@ CASES = {
     "tower_level": (lambda: tower_normalize(-1, 1.0), DomainError("tower level")),
     "tower_height": (lambda: power_tower(2.0, 0), DomainError("tower height")),
     "tower_base": (lambda: power_tower(1.0, 3), DomainError("growing towers")),
+    "euclid_mantissa": (
+        lambda: euclid_baseline(LogTower(1, math.inf)),
+        DomainError("tower mantissa must be finite, got inf"),
+    ),
     # the factorial gate fails at N = 1, so nothing passes up to 1
     "theorem1_first_passing": (lambda: theorem1_first_passing(T, 1), None),
     "theorem2": (lambda: theorem2_sequence(-1), RangeError("n_max must be >= 0")),
@@ -68,6 +77,10 @@ CASES = {
     "staircase_start": (
         lambda: staircase_certify(T, 5.45, 6, "factorial-squared", 101, 1),
         RangeError("exceeds the sieve limit"),
+    ),
+    "staircase_exponent": (
+        lambda: staircase_certify(T, 2.0, 3.0, "factorial-squared", 2, 1),
+        DomainError("exponent m must be an integer, got 3.0"),
     ),
     "staircase_steps": (
         lambda: staircase_certify(T, 5.45, 6, "factorial-squared", 2, 0),
