@@ -21,6 +21,7 @@ took 2.1 ms with Machin's arctan series in floor-rounded fixed point and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,12 +60,17 @@ _CHECK_MODULUS = (1 << 2 * _DIGIT_BITS) - 1
 def as_rational(value) -> Fraction:
     """Coerce value to an exact Fraction.
 
-    Floats go through their shortest decimal repr, so ``as_rational(5.45)``
-    is 109/20, not the 53-bit binary neighbour of 5.45.
+    Floats go through their shortest decimal str, so ``as_rational(5.45)``
+    is 109/20, not the 53-bit binary neighbour of 5.45; str, not repr,
+    since NumPy 2's repr of a float64 is ``np.float64(5.45)``.  A value
+    with __index__, a NumPy integer among them, is read as its Python int.
     """
-    if isinstance(value, (Fraction, int, float, str)):
+    exact = str(value) if isinstance(value, float) else value
+    if hasattr(exact, "__index__"):
+        exact = operator.index(exact)
+    if isinstance(exact, (Fraction, int, str)):
         try:
-            return Fraction(repr(value) if isinstance(value, float) else value)
+            return Fraction(exact)
         except (ValueError, ZeroDivisionError):
             pass
     raise DomainError(f"cannot interpret {value!r} as an exact rational")

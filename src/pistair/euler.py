@@ -134,8 +134,6 @@ def euler_product(t: PrimeTable, N: int) -> EulerApproximation:
     """Exact product of p^2/(p^2 - 1) over primes p <= N; empty product is 1."""
     if N < 1:
         raise RangeError(f"N must be >= 1, got {N}")
-    if N > t.limit:
-        raise RangeError(f"Euler product to {N} needs a sieve beyond {t.limit}")
     return EulerApproximation(N, _product(t, prime_count(t, N)))
 
 

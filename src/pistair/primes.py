@@ -2,10 +2,12 @@
 
 The table is an odd-only, segmented Eratosthenes sieve held as a sorted
 numpy array, int32 below 2^31 and int64 above; everything else is a pure
-function over it.  Every lookup in it goes through count_at_most, which
-hands numpy the key in the table's dtype.  Exponents in d_n are found by
-integer comparisons only, so prime-power boundaries (n = p^k exactly) are
-never at the mercy of floating-point log division.
+function over it.  A scalar query of a table goes through prime_count, the
+one check that refuses a query past the table's limit.  Every lookup, that
+one included, goes through count_at_most, which hands numpy the key in the
+table's dtype.  Exponents in d_n are found by integer comparisons only, so
+prime-power boundaries (n = p^k exactly) are never at the mercy of
+floating-point log division.
 Big products, d_n among them, go by one balanced product tree.
 """
 
@@ -255,7 +257,12 @@ def nth_primes(limit: int, ns) -> dict[int, int]:
 
 
 def prime_count(t: PrimeTable, x) -> int:
-    """pi(x): the number of primes <= x, for real x <= t.limit."""
+    """pi(x): the number of primes <= x, for real x <= t.limit.
+
+    The one reach rule: every query of a table at x, a scalar slice of
+    t.primes included, asks prime_count first, so an x past t.limit is
+    refused here, before any work, with one message.
+    """
     if x != x:  # NaN
         raise DomainError(f"pi(x) needs a number x, got x = {x}")
     if x > t.limit:
@@ -328,10 +335,8 @@ def lcm_to(t: PrimeTable, n: int) -> int:
     """d_n = lcm(1..n) as the exact product of maximal prime powers <= n."""
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
-    if n > t.limit:
-        raise RangeError(f"lcm to {n} needs a sieve beyond limit {t.limit}")
-    factors = t.primes[: int(count_at_most(t.primes, n))].tolist()
-    for i, p in enumerate(factors[: int(count_at_most(t.primes, math.isqrt(n)))]):
+    factors = t.primes[: prime_count(t, n)].tolist()
+    for i, p in enumerate(factors[: prime_count(t, math.isqrt(n))]):
         factors[i] = max_power_at_most(p, n)[1]
     return product_tree(factors)
 
@@ -353,13 +358,10 @@ def log_lcm_to(t: PrimeTable, n: int) -> LcmLogReport:
     """
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
-    if n > t.limit:
-        raise RangeError(f"log lcm to {n} needs a sieve beyond limit {t.limit}")
     log_n = math.log(n)
-    cut = int(count_at_most(t.primes, n))
+    cut = prime_count(t, n)
     primes = t.primes[:cut]
-    root = math.isqrt(n)
-    small_cut = int(count_at_most(primes, root))
+    small_cut = prime_count(t, math.isqrt(n))
     total = float(np.log(primes[small_cut:]).sum())
     for p in primes[:small_cut].tolist():
         k, _ = max_power_at_most(p, n)
@@ -376,14 +378,12 @@ def log_lcm_table(t: PrimeTable, n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise RangeError(f"n_max must be >= 0, got {n_max}")
-    if n_max > t.limit:
-        raise RangeError(f"table limit {t.limit} is below n_max {n_max}")
+    ps = t.primes[: prime_count(t, n_max)]
     increments = np.zeros(n_max + 1, dtype=np.float64)
-    ps = t.primes[: int(count_at_most(t.primes, n_max))]
     # math.log, not np.log, which may differ in the last ulp; each index
     # receives at most one increment, so the sums are those of a loop.
     increments[ps] = np.fromiter(map(math.log, ps.tolist()), dtype=np.float64, count=len(ps))
-    for p in ps[: int(count_at_most(ps, math.isqrt(n_max)))].tolist():
+    for p in ps[: prime_count(t, math.isqrt(n_max))].tolist():
         log_p, pk = math.log(p), p * p
         while pk <= n_max:
             increments[pk] = log_p

@@ -612,8 +612,7 @@ def staircase_certify(t: PrimeTable, b: float, m: int | None, q_mode: str, N_sta
         raise DomainError(f"need exponent m > measure bound b, got m={m}, b={b}")
     if N_start < 2:
         raise RangeError(f"N_start must be >= 2, got {N_start}")
-    if N_start > t.limit:
-        raise RangeError(f"N_start={N_start} exceeds the sieve limit {t.limit}")
+    pi_at_start = prime_count(t, N_start)
     if steps < 1:
         raise RangeError(f"steps must be >= 1, got {steps}")
     try:
@@ -642,7 +641,7 @@ def staircase_certify(t: PrimeTable, b: float, m: int | None, q_mode: str, N_sta
         exponent=m,
         q_mode=q_mode,
         start=N_start,
-        pi_at_start=prime_count(t, N_start),
+        pi_at_start=pi_at_start,
         steps=chain,
         truncated_reason=truncated,
     )

@@ -16,7 +16,9 @@ from pistair import (
     nth_prime,
     nth_primes,
     prime_count,
+    qn_bound_report,
     sieve,
+    staircase_certify,
     verify,
 )
 from pistair.euler import FACTORED_FROM, euler_product
@@ -203,6 +205,11 @@ class TestTypedKeys:
             # a fresh table misses the product cache; N = 3000 has 430 primes
             pytest.param(lambda: euler_product(sieve(3000), 3000), id="euler_product"),
             pytest.param(lambda: verify.log_lcm_bound(1000), id="verify_log_lcm_bound"),
+            pytest.param(lambda: qn_bound_report(sieve(3000), 1000), id="qn_bound_report"),
+            pytest.param(
+                lambda: staircase_certify(sieve(3000), 5.45, 6, "power-2piN", 2999, 1),
+                id="staircase_certify",
+            ),
         ],
     )
     def test_key_in_table_dtype(self, lookups, call):
