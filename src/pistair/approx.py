@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import config
 from .arith import RealEnclosure, as_rational, digit_ladder, neg_log_gaps, zeta2_enclosure
-from .errors import DomainError, PrecisionExhaustedError, RangeError, ResourceLimitError
+from .errors import DomainError, PrecisionExhaustedError, RangeError
 from .primes import PrimeTable, nth_prime, product_tree
 from .records import decimal_field
 
@@ -224,13 +224,9 @@ def sondow_inequality_check(t: PrimeTable, n: int, mu_bound) -> SondowCheck:
     if abs(lhs - rhs) > SONDOW_LOG_MARGIN * max(1.0, abs(lhs), abs(rhs)):
         holds = lhs < rhs
     else:
-        # the larger power has about exp(max(lhs, rhs)) / ln 10 digits
-        budget = config.cap(config.BIGINT_DIGITS)
-        if max(lhs, rhs) > math.log(budget * math.log(10)):
-            raise ResourceLimitError(
-                f"mu is a near tie at n = {n}; deciding it exactly needs "
-                f"powers beyond {budget} digits "
-                f"(raise {config.BIGINT_DIGITS} to override)"
-            )
+        # the larger power has about exp(max(lhs, rhs)) / ln 10 digits; the
+        # exponent is clamped below exp's overflow, still ~10^307 digits
+        digits = math.exp(min(max(lhs, rhs), 709.78)) / math.log(10)
+        config.refuse_above(config.BIGINT_DIGITS, digits, f"near tie at n = {n}: power digits ")
         holds = p_next**mu.denominator <= primorial ** (2 * mu.numerator)
     return SondowCheck(n=n, p_next=p_next, primorial=primorial, mu=mu, holds=holds)

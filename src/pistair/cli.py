@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import io
 import json
 import sys
 from types import FunctionType
@@ -108,12 +107,9 @@ def _emit(records: list[dict], fmt: str, meta: dict | None = None):
     elif fmt == "csv":
         flats = [_flatten(r) for r in records]
         fields = sorted({k for f in flats for k in f})
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for flat in flats:
-            writer.writerow(flat)
-        sys.stdout.write(buf.getvalue())
+        writer.writerows(flats)
     else:
         for record in records:
             flat = _flatten(record)
@@ -228,7 +224,9 @@ def _cmd_staircase(args):
         {"record": "lower_bound", "at": step["end"], "pi_at_least": k}
         for step, (_, k) in zip(steps, cert.lower_bounds())
     ]
-    return [header] + [{"record": "step", **step} for step in steps] + bounds, 0
+    for step in steps:
+        step["record"] = "step"
+    return [header, *steps, *bounds], 0
 
 @_command("lemma4", "growth-rate measure bound 1 + rho/sigma",
           _arg("--a", type=float, default=RV_PAGE102.a),

@@ -34,7 +34,7 @@ def cap(variable: str) -> int:
         raise DomainError(f"{variable} must be an integer, got {raw!r}") from None
 
 
-def refuse_above(variable: str, value: int, what: str) -> None:
+def refuse_above(variable: str, value: float, what: str) -> None:
     """Refuse a value past the cap, before any work: a ResourceLimitError
     whose message names it as what + value."""
     limit = cap(variable)

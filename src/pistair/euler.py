@@ -4,9 +4,10 @@ The truncated product over primes p <= N of (1 - p^-2)^-1 is an exact
 reduced rational p_N/q_N.  For a few hundred primes it is formed as
 prod p^2 / prod (p^2 - 1) with one gcd reduction; beyond that it is built
 already reduced from the prime exponents of prod (p^2 - 1), by product
-trees and with no gcd.  Only the last product (and the table it came from)
-is kept, keyed on the table and the prime count rather than on N, so the
-reports that share one N, and every N between two primes, form it once.
+trees and with no gcd.  Only the last product is kept, keyed on the bytes
+of the primes it multiplies rather than on N or on their table, so the
+reports that share one N, every N between two primes, and any two tables
+that agree up to N form it once; the memo never holds the rest of a table.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ FACTORED_FROM = 400
 
 
 @lru_cache(maxsize=1)
-def _product(t: PrimeTable, n_primes: int) -> Fraction:
-    """p_N/q_N over the first n_primes primes of t.
+def _product(primes: bytes, dtype: str) -> Fraction:
+    """p_N/q_N over the primes p <= N, given as the raw bytes of their
+    array and its dtype string (ndarray.tobytes() and dtype.str), which are
+    what the memo keys on and all it keeps besides the product.
 
     Below FACTORED_FROM primes this is Fraction(prod p^2, prod (p^2 - 1)),
     flat products reduced by one gcd.  From there on the product is built
@@ -60,8 +63,8 @@ def _product(t: PrimeTable, n_primes: int) -> Fraction:
     0.35 ms, and at 500 primes 0.57 to 0.69 against 0.37 to 0.44 ms.  The
     two meet between 300 and 500 primes; 400 keeps every N <= 2000 flat.
     """
-    ps = t.primes[:n_primes]
-    if n_primes < FACTORED_FROM:
+    ps = np.frombuffer(primes, dtype=dtype)
+    if len(ps) < FACTORED_FROM:
         ps = ps.tolist()
         return Fraction(math.prod(p * p for p in ps), math.prod(p * p - 1 for p in ps))
     d = 2 - _p2_minus_1_exponents(ps)
@@ -134,7 +137,8 @@ def euler_product(t: PrimeTable, N: int) -> EulerApproximation:
     """Exact product of p^2/(p^2 - 1) over primes p <= N; empty product is 1."""
     if N < 1:
         raise RangeError(f"N must be >= 1, got {N}")
-    return EulerApproximation(N, _product(t, prime_count(t, N)))
+    ps = t.primes[: prime_count(t, N)]
+    return EulerApproximation(N, _product(ps.tobytes(), ps.dtype.str))
 
 
 @dataclass(frozen=True)

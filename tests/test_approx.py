@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -451,5 +452,16 @@ class TestSondow:
     def test_near_tie_beyond_budget_refused(self, table3k):
         # 0.792481250361 is within 1e-12 of log 3 / log 4; deciding it exactly
         # needs powers of about 10^12 digits
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=(
+            r"exceeds the configured cap \d+ \(raise PISTAIR_BIGINT_DIGITS to override\)"
+        )):
             sondow_inequality_check(table3k, 1, "0.792481250361")
+
+    def test_near_tie_past_exp_range_refused(self, table3k):
+        # log 3 / log 4 to 420 digits: ln den + ln ln 3 is above 709, so the
+        # digit estimate exp(...) would overflow a float unless clamped
+        with localcontext() as ctx:
+            ctx.prec = 430
+            mu = str(Decimal(3).ln() / Decimal(4).ln())[:422]
+        with pytest.raises(ResourceLimitError):
+            sondow_inequality_check(table3k, 1, mu)

@@ -360,14 +360,20 @@ class TestDispatch:
             f"pi({step['end']}) unknown beyond the sieve limit 100000"
         )
 
-    def test_staircase_2000_steps_pinned(self, capsys):
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_staircase_2000_steps_pinned(self, capsys, fmt):
         # the steps past the float range of ln N stay the same bytes, and
-        # take linear time: each step's tower loop stops once ln N is inf
-        code, out, _ = run(capsys, "staircase", "--mode", "factorial-squared", "--steps", "2000")
+        # take linear time: each step's tower loop stops once ln N is inf;
+        # header, step and lower-bound records have different columns, so
+        # CSV has empty cells and flattened tower keys
+        code, out, _ = run(capsys, "staircase", "--mode", "factorial-squared", "--steps", "2000",
+                           "--format", fmt)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "25d59bfa01adc571e703df8407f35476f7246e696e898358fe6d3d68ec7137e2"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == {
+            "json": "25d59bfa01adc571e703df8407f35476f7246e696e898358fe6d3d68ec7137e2",
+            "csv": "9ca4eca1ce6a9bf90e16e9f50797751665ddb034f633cd5582dd5d718f1a975f",
+            "table": "349bd86609b037175a6766f8d0df8fb25fa92fb435e29e2f26ea314e8ba7e6f3",
+        }[fmt]
 
     def test_lemma4(self, capsys):
         code, out, _ = run(capsys, "lemma4", "--mode", "raw")

@@ -1,6 +1,8 @@
 import fractions
+import gc
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,12 +28,6 @@ from pistair import (
 from pistair import cli, euler
 from pistair.arith import _coprime_fraction
 from pistair.euler import FACTORED_FROM
-from pistair.primes import PrimeTable
-
-
-def fresh(t):
-    # a new table object misses the one-entry product cache
-    return PrimeTable(t.limit, t.primes)
 
 
 def brute_force_product(primes, N):
@@ -182,8 +178,9 @@ class TestFactoredProduct:
         def refuse(*args):
             raise AssertionError("gcd called")
 
+        euler._product.cache_clear()
         monkeypatch.setattr(fractions.math, "gcd", refuse)
-        value = euler_product(fresh(table30k), N).value
+        value = euler_product(table30k, N).value
         monkeypatch.undo()
         assert value.numerator == expected.numerator
         assert value.denominator == expected.denominator
@@ -241,7 +238,8 @@ class TestQnBounds:
         primes = table30k.primes.tolist()
         for k in (1, 2, FACTORED_FROM - 1, FACTORED_FROM, FACTORED_FROM + 1, 3000):
             N = primes[k - 1]
-            rep = qn_bound_report(fresh(table30k), N)
+            euler._product.cache_clear()
+            rep = qn_bound_report(table30k, N)
             assert rep.prod_p2_minus_1 == math.prod(p * p - 1 for p in primes[:k])
             assert rep.q == brute_force_product(primes, N).denominator
 
@@ -259,14 +257,35 @@ class TestQnBounds:
 def test_ascending_sweep_forms_each_product_once(table3k):
     # the four reports at one N, and every N up to the next prime, share
     # one product through euler_product's cache: pi(300) = 62
-    t = fresh(table3k)
     euler._product.cache_clear()
     for N in range(1, 301):
-        euler_product(t, N)
-        qn_bound_report(t, N)
-        theorem1_gate(t, N)
-        approximation_gap(t, N, 30)
+        euler_product(table3k, N)
+        qn_bound_report(table3k, N)
+        theorem1_gate(table3k, N)
+        approximation_gap(table3k, N, 30)
     assert euler._product.cache_info().misses == 63
+
+
+def test_memo_keeps_no_table():
+    # the memo holds the primes it multiplied and the product, so a dropped
+    # table is freed: one to 10^6 holds ~360 KB
+    euler_product(sieve(100), 10)
+    tracemalloc.start()
+    try:
+        t = sieve(10**6)
+        euler_product(t, 10)
+        del t
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] < 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_equal_prefixes_share_the_memo():
+    # two tables that agree up to N ask for one product
+    euler._product.cache_clear()
+    assert euler_product(sieve(100), 30) == euler_product(sieve(200), 30)
+    assert euler._product.cache_info().hits == 1
 
 
 class TestTailProductUpper:

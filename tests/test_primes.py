@@ -22,7 +22,7 @@ from pistair import (
     verify,
 )
 from pistair.euler import FACTORED_FROM, euler_product
-from pistair import primes
+from pistair import euler, primes
 from pistair.primes import (
     _COLLECT_SLICE, DEFAULT_SEGMENT_SIZE, PRODUCT_LEAF, _collect, int_dtype, product_tree,
 )
@@ -202,8 +202,12 @@ class TestTypedKeys:
             pytest.param(lambda: log_lcm_to(sieve(3000), 2999), id="log_lcm_to"),
             pytest.param(lambda: log_lcm_table(sieve(3000), 3000), id="log_lcm_table"),
             pytest.param(lambda: sieve(10**5, 1000), id="sieve"),
-            # a fresh table misses the product cache; N = 3000 has 430 primes
-            pytest.param(lambda: euler_product(sieve(3000), 3000), id="euler_product"),
+            # the product cache is keyed on the primes, so it is emptied for
+            # the factored route to run; N = 3000 has 430 primes
+            pytest.param(
+                lambda: (euler._product.cache_clear(), euler_product(sieve(3000), 3000)),
+                id="euler_product",
+            ),
             pytest.param(lambda: verify.log_lcm_bound(1000), id="verify_log_lcm_bound"),
             pytest.param(lambda: qn_bound_report(sieve(3000), 1000), id="qn_bound_report"),
             pytest.param(
